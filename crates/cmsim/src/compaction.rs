@@ -11,7 +11,7 @@
 //! move per block whose new-generation placement differs from its
 //! current residency. While those moves drain through the rate-limited
 //! executor the server serves from **both** generations: a lookup first
-//! consults the migrated set (new-generation residency), then falls back
+//! consults the migrated table (new-generation residency), then falls back
 //! to the old engine — the same never-served-twice discipline the
 //! cluster handoff uses. When the last move lands the server flips
 //! atomically: the staging engine becomes *the* engine, locate collapses
@@ -20,19 +20,20 @@
 //! [`CmServer::begin_compaction`]: crate::server::CmServer::begin_compaction
 //! [`Scaddar::open_next_generation`]: scaddar_core::Scaddar::open_next_generation
 
-use scaddar_core::{BlockRef, Scaddar};
-use std::collections::HashSet;
+use crate::store::BlockTable;
+use scaddar_core::Scaddar;
 
 /// In-flight state of one compaction: the staging next-generation engine
-/// plus the set of blocks already resident at their new-generation
+/// plus which blocks are already resident at their new-generation
 /// placement.
 #[derive(Debug, Clone)]
 pub(crate) struct CompactionState {
     /// The next-generation engine blocks are migrating toward. Serves
     /// lookups for migrated blocks; becomes the live engine at flip.
     pub(crate) staging: Scaddar,
-    /// Blocks whose residency already matches the staging placement.
-    pub(crate) migrated: HashSet<BlockRef>,
+    /// `true` for each block whose residency already matches the
+    /// staging placement (a dense per-object table; `len()` is O(1)).
+    pub(crate) migrated: BlockTable<bool>,
     /// Catalog blocks at begin (progress denominator; object churn
     /// during the compaction adjusts it).
     pub(crate) total: u64,

@@ -13,6 +13,7 @@
 //! engine's `AF()` answers are thus eventually consistent with residency,
 //! and the server layer resolves reads through the store.
 
+use crate::store::IdMap;
 use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::BlockRef;
 use std::collections::HashMap;
@@ -69,37 +70,40 @@ impl RedistributionExecutor {
     /// target). Returns the executed moves, in queue order; moves whose
     /// source or target is out of budget are deferred, preserving their
     /// relative order (head-of-line blocking is deliberate — it models a
-    /// sequential sweep and keeps the executor fair across disks).
+    /// sequential sweep and keeps the executor fair across disks). The
+    /// scan stops once every budget is spent: no later move could run,
+    /// so the unscanned rest stays queued behind the deferred moves,
+    /// exactly as a full scan would leave it.
     pub fn execute_round(&mut self, budget: &mut HashMap<PhysicalDiskId, u32>) -> Vec<PendingMove> {
+        // The scan probes budgets twice per move; a copy under the cheap
+        // id hasher keeps that off the SipHash path.
+        let mut left: IdMap<PhysicalDiskId, u32> = budget.iter().map(|(&d, &b)| (d, b)).collect();
+        let mut open = left.values().filter(|&&b| b > 0).count();
         let mut executed = Vec::new();
-        let mut deferred = VecDeque::new();
-        while let Some(mv) = self.queue.pop_front() {
-            if mv.from == mv.to {
-                // A local copy (e.g. materializing a reconstructed block
-                // from a mirror co-resident with the target): one disk
-                // operation on a single spindle.
-                if budget.get(&mv.to).copied().unwrap_or(0) > 0 {
-                    *budget.get_mut(&mv.to).expect("checked") -= 1;
-                    executed.push(mv);
-                } else {
-                    deferred.push_back(mv);
+        let mut deferred = Vec::new();
+        while open > 0 {
+            let Some(mv) = self.queue.pop_front() else {
+                break;
+            };
+            let has_budget = |d: &PhysicalDiskId| left.get(d).is_some_and(|&b| b > 0);
+            // A local copy (e.g. materializing a reconstructed block
+            // from a mirror co-resident with the target) is one disk
+            // operation on a single spindle.
+            let local = mv.from == mv.to;
+            if has_budget(&mv.to) && (local || has_budget(&mv.from)) {
+                spend(&mut left, mv.to, &mut open);
+                if !local {
+                    spend(&mut left, mv.from, &mut open);
                 }
-                continue;
-            }
-            let src_ok = budget.get(&mv.from).copied().unwrap_or(0) > 0;
-            let dst_ok = budget.get(&mv.to).copied().unwrap_or(0) > 0;
-            if src_ok && dst_ok {
-                *budget.get_mut(&mv.from).expect("checked") -= 1;
-                *budget.get_mut(&mv.to).expect("checked") -= 1;
                 executed.push(mv);
             } else {
-                deferred.push_back(mv);
-                // If *every* remaining budget is zero we could stop, but
-                // other moves may touch disks with budget left; keep
-                // scanning — queue lengths are bounded by the plan size.
+                deferred.push(mv);
             }
         }
-        self.queue = deferred;
+        for mv in deferred.into_iter().rev() {
+            self.queue.push_front(mv);
+        }
+        budget.extend(left);
         executed
     }
 
@@ -132,10 +136,20 @@ impl RedistributionExecutor {
     }
 }
 
+/// Takes one transfer off `disk`'s budget, counting it closed at zero.
+fn spend(budget: &mut IdMap<PhysicalDiskId, u32>, disk: PhysicalDiskId, open: &mut usize) {
+    let left = budget.get_mut(&disk).expect("checked");
+    *left -= 1;
+    if *left == 0 {
+        *open -= 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use scaddar_core::ObjectId;
+    use scaddar_prng::{SeededRng, SplitMix64};
 
     fn mv(b: u64, from: u64, to: u64) -> PendingMove {
         PendingMove {
@@ -206,5 +220,57 @@ mod tests {
         let dropped = ex.cancel_blocks(|b| b.block % 2 == 0);
         assert_eq!(dropped, 3);
         assert_eq!(ex.backlog(), 3);
+    }
+
+    /// The executor round without the early exit: scan the whole queue.
+    fn full_scan_round(
+        queue: &mut VecDeque<PendingMove>,
+        budget: &mut HashMap<PhysicalDiskId, u32>,
+    ) -> Vec<PendingMove> {
+        let mut executed = Vec::new();
+        let mut deferred = VecDeque::new();
+        while let Some(mv) = queue.pop_front() {
+            let ok = |d: &PhysicalDiskId| budget.get(d).copied().unwrap_or(0) > 0;
+            if ok(&mv.to) && (mv.from == mv.to || ok(&mv.from)) {
+                *budget.get_mut(&mv.to).unwrap() -= 1;
+                if mv.from != mv.to {
+                    *budget.get_mut(&mv.from).unwrap() -= 1;
+                }
+                executed.push(mv);
+            } else {
+                deferred.push_back(mv);
+            }
+        }
+        *queue = deferred;
+        executed
+    }
+
+    #[test]
+    fn early_exit_matches_a_full_scan() {
+        for seed in 0..64 {
+            let mut rng = SplitMix64::from_seed(seed);
+            let len = rng.next_u64() % 300;
+            // Disk 6 never has a budget entry; disks 0..6 get 0..=4.
+            let moves: Vec<PendingMove> = (0..len)
+                .map(|i| mv(i, rng.next_u64() % 7, rng.next_u64() % 7))
+                .collect();
+            let mut ex = RedistributionExecutor::new();
+            ex.enqueue(moves.iter().copied());
+            let mut reference: VecDeque<PendingMove> = moves.into_iter().collect();
+            for round in 0..40 {
+                let budget: HashMap<PhysicalDiskId, u32> = (0..6)
+                    .map(|d| (PhysicalDiskId(d), (rng.next_u64() % 5) as u32))
+                    .collect();
+                let (mut fast, mut full) = (budget.clone(), budget);
+                let ctx = format!("seed {seed} round {round}");
+                assert_eq!(
+                    ex.execute_round(&mut fast),
+                    full_scan_round(&mut reference, &mut full),
+                    "{ctx}"
+                );
+                assert_eq!(fast, full, "{ctx}");
+                assert!(ex.pending().eq(reference.iter()), "{ctx}");
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@ use crate::disk::{DiskArray, DiskSpec};
 use crate::metrics::{Metrics, RoundRecord};
 use crate::redistribute::{PendingMove, RedistributionExecutor};
 use crate::stats::ServerStats;
-use crate::store::BlockStore;
+use crate::store::{BlockStore, BlockTable, IdMap};
 use crate::stream::{PlayState, Stream, StreamId};
 use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::{
@@ -245,17 +245,14 @@ impl CmServer {
                 .expect("snapshot history was validated on decode");
         }
         let mut store = BlockStore::new();
-        for obj in engine.catalog().objects().to_vec() {
-            let placements = engine.locate_all(obj.id).expect("catalog object");
-            for (block, logical) in placements.into_iter().enumerate() {
-                store.ingest(
-                    BlockRef {
-                        object: obj.id,
-                        block: block as u64,
-                    },
-                    disks.physical(logical),
-                );
-            }
+        for obj in engine.catalog().objects() {
+            let placements: Vec<PhysicalDiskId> = engine
+                .locate_all(obj.id)
+                .expect("catalog object")
+                .into_iter()
+                .map(|logical| disks.physical(logical))
+                .collect();
+            store.ingest_object(obj.id, &placements);
         }
         Ok(CmServer {
             engine,
@@ -309,7 +306,7 @@ impl CmServer {
                         self.store.relocate(mv.block, stored, id);
                     }
                 }
-                c.migrated.insert(mv.block);
+                c.migrated.set(mv.block, true);
             }
         }
         // Pending moves sourced from the dead disk must now read from
@@ -357,32 +354,33 @@ impl CmServer {
     }
 
     /// Ingests a new object of `blocks` blocks. Every block is written
-    /// where `AF()` currently points. Fails (and rolls back the catalog
-    /// entry) if any target disk is at capacity.
+    /// where `AF()` currently points. Fails (and drops the catalog
+    /// entry) if any target disk is at capacity; capacity is checked in
+    /// block order before anything is stored, so the error names the
+    /// first disk that would overflow and the store is left untouched.
     pub fn add_object(&mut self, blocks: u64) -> Result<ObjectId, ServerError> {
         let id = self.engine.add_object(blocks);
-        for b in 0..blocks {
-            let logical = self.engine.locate(id, b).expect("fresh object block");
-            let disk = self.disks.physical(logical);
-            if self.store.blocks_on(disk) >= self.disks.spec(disk).capacity {
-                // Roll back: evict what we ingested, drop the object.
-                for undo in 0..b {
-                    self.store.evict(BlockRef {
-                        object: id,
-                        block: undo,
-                    });
-                }
+        let logical = self.engine.locate_all(id).expect("fresh object");
+        let physical = self.disks.physical_ids();
+        let mut room: Vec<u64> = physical
+            .iter()
+            .map(|&d| {
+                self.disks
+                    .spec(d)
+                    .capacity
+                    .saturating_sub(self.store.blocks_on(d))
+            })
+            .collect();
+        for l in &logical {
+            let left = &mut room[l.0 as usize];
+            if *left == 0 {
                 self.engine.remove_object(id).expect("object just added");
-                return Err(ServerError::DiskFull(disk));
+                return Err(ServerError::DiskFull(physical[l.0 as usize]));
             }
-            self.store.ingest(
-                BlockRef {
-                    object: id,
-                    block: b,
-                },
-                disk,
-            );
+            *left -= 1;
         }
+        let placed: Vec<PhysicalDiskId> = logical.iter().map(|l| physical[l.0 as usize]).collect();
+        self.store.ingest_object(id, &placed);
         // Object churn during a compaction: the staging generation must
         // carry the same catalog, so register the object there too (ids
         // advance in lockstep — both catalogs share `next_id`) and
@@ -391,23 +389,21 @@ impl CmServer {
             let staged = c.staging.add_object(blocks);
             debug_assert_eq!(staged, id, "generations allocate ids in lockstep");
             c.total += blocks;
+            let targets = c.staging.locate_all(id).expect("staged object");
             let mut moves = Vec::new();
-            for b in 0..blocks {
-                let blockref = BlockRef {
+            for (b, (&stored, target)) in placed.iter().zip(targets).enumerate() {
+                let block = BlockRef {
                     object: id,
-                    block: b,
+                    block: b as u64,
                 };
-                let stored = self.store.locate(blockref).expect("just ingested");
-                let target = self
-                    .disks
-                    .physical(c.staging.locate(id, b).expect("staged block"));
-                if stored == target {
-                    c.migrated.insert(blockref);
+                let to = physical[target.0 as usize];
+                if stored == to {
+                    c.migrated.set(block, true);
                 } else {
                     moves.push(PendingMove {
-                        block: blockref,
+                        block,
                         from: stored,
-                        to: target,
+                        to,
                     });
                 }
             }
@@ -420,17 +416,12 @@ impl CmServer {
     /// moves.
     pub fn remove_object(&mut self, id: ObjectId) -> Result<(), ServerError> {
         let obj = self.engine.remove_object(id)?;
-        for b in 0..obj.blocks {
-            self.store.evict(BlockRef {
-                object: id,
-                block: b,
-            });
-        }
+        self.store.evict_object(id);
         if let Some(c) = &mut self.compaction {
             c.staging
                 .remove_object(id)
                 .expect("generations hold the same catalog");
-            c.migrated.retain(|blk| blk.object != id);
+            c.migrated.take_object(id);
             c.total = c.total.saturating_sub(obj.blocks);
         }
         self.executor.cancel_blocks(|blk| blk.object == id);
@@ -532,9 +523,12 @@ impl CmServer {
         self.disks
             .apply(&op)
             .expect("engine accepted the op, the array must too");
-        // Drop superseded pending moves for re-planned blocks.
-        let replanned: HashSet<BlockRef> = plan.moves.iter().map(|m| m.block).collect();
-        self.executor.cancel_blocks(|b| replanned.contains(&b));
+        // Drop superseded pending moves for re-planned blocks (an idle
+        // executor has nothing to supersede).
+        if !self.executor.is_idle() {
+            let replanned: HashSet<BlockRef> = plan.moves.iter().map(|m| m.block).collect();
+            self.executor.cancel_blocks(|b| replanned.contains(&b));
+        }
         let moves: Vec<PendingMove> = plan
             .moves
             .iter()
@@ -661,24 +655,25 @@ impl CmServer {
             return Err(ServerError::FailedDisksPresent);
         }
         let staging = self.engine.open_next_generation();
-        let mut migrated = HashSet::new();
+        let physical = self.disks.physical_ids();
+        let mut migrated = BlockTable::default();
         let mut moves = Vec::new();
-        for obj in staging.catalog().objects().to_vec() {
+        for obj in staging.catalog().objects() {
             let targets = staging.locate_all(obj.id).expect("staged object");
-            for (b, &logical) in targets.iter().enumerate() {
-                let blockref = BlockRef {
+            for (b, logical) in targets.into_iter().enumerate() {
+                let block = BlockRef {
                     object: obj.id,
                     block: b as u64,
                 };
-                let stored = self.store.locate(blockref).expect("catalog block stored");
-                let target = self.disks.physical(logical);
-                if stored == target {
-                    migrated.insert(blockref);
+                let stored = self.store.locate(block).expect("catalog block stored");
+                let to = physical[logical.0 as usize];
+                if stored == to {
+                    migrated.set(block, true);
                 } else {
                     moves.push(PendingMove {
-                        block: blockref,
+                        block,
                         from: stored,
-                        to: target,
+                        to,
                     });
                 }
             }
@@ -736,7 +731,7 @@ impl CmServer {
             // While a compaction is in flight scaling is refused, so
             // every executed move is a migration move.
             for mv in executed {
-                c.migrated.insert(mv.block);
+                c.migrated.set(mv.block, true);
             }
         }
     }
@@ -812,7 +807,7 @@ impl CmServer {
                 let Some(stored) = self.store.locate(blockref) else {
                     return false;
                 };
-                if c.migrated.contains(&blockref) {
+                if c.migrated.get(blockref) {
                     if stored != self.disks.physical(new[b as usize]) {
                         return false;
                     }
@@ -874,7 +869,7 @@ impl CmServer {
                 let af = match self
                     .compaction
                     .as_ref()
-                    .filter(|c| c.migrated.contains(&blockref))
+                    .filter(|c| c.migrated.get(blockref))
                 {
                     Some(c) => c.staging.locate(stream.object, block),
                     None => self.engine.locate(stream.object, block),
@@ -942,7 +937,7 @@ impl CmServer {
     /// Refreshes the per-disk labeled gauges: outbound move queue depth
     /// and the residency load census, over live and draining disks.
     fn refresh_disk_gauges(&self, stats: &ServerStats) {
-        let mut queue: HashMap<PhysicalDiskId, i64> = HashMap::new();
+        let mut queue: IdMap<PhysicalDiskId, i64> = IdMap::default();
         for mv in self.executor.pending() {
             *queue.entry(mv.from).or_insert(0) += 1;
         }
@@ -980,9 +975,9 @@ impl CmServer {
         // the staging generation (new-gen residency first, old-gen
         // fallback — residency is never ambiguous between the two).
         if let Some(c) = &self.compaction {
+            let migrated = c.migrated.object(object);
             for (slot, &b) in out.iter_mut().zip(blocks) {
-                let blockref = BlockRef { object, block: b };
-                if c.migrated.contains(&blockref) {
+                if usize::try_from(b).is_ok_and(|b| migrated.get(b) == Some(&true)) {
                     *slot = self
                         .disks
                         .physical(c.staging.locate(object, b).expect("staged block"));
@@ -1000,8 +995,7 @@ impl CmServer {
     /// it is what collapses back to a single O(1) hash at flip.
     pub fn locate_current(&self, object: ObjectId, block: u64) -> Result<DiskIndex, ServerError> {
         if let Some(c) = &self.compaction {
-            let blockref = BlockRef { object, block };
-            if c.migrated.contains(&blockref) {
+            if c.migrated.get(BlockRef { object, block }) {
                 return Ok(c.staging.locate(object, block)?);
             }
         }
@@ -1338,6 +1332,43 @@ mod tests {
         // Rollback leaves the server empty and usable.
         assert_eq!(s.store().len(), 0);
         assert!(s.add_object(10).is_ok());
+    }
+
+    #[test]
+    fn disk_full_changes_nothing_and_names_the_first_full_disk() {
+        /// Walks the next object's blocks in order, as a block-by-block
+        /// ingest would: the first block whose disk has no room left,
+        /// and that disk.
+        fn first_overflow(s: &CmServer, blocks: u64) -> (u64, PhysicalDiskId) {
+            let mut probe = s.clone();
+            let id = probe.engine.add_object(blocks);
+            let mut load: HashMap<PhysicalDiskId, u64> = HashMap::new();
+            (0..blocks)
+                .find_map(|b| {
+                    let disk = probe.disks.physical(probe.engine.locate(id, b).unwrap());
+                    let n = load.entry(disk).or_insert(probe.store.blocks_on(disk));
+                    *n += 1;
+                    (*n > probe.config.disk_capacity).then_some((b, disk))
+                })
+                .expect("the object overflows a disk")
+        }
+        let mut cfg = ServerConfig::new(4).with_catalog_seed(9);
+        cfg.disk_capacity = 300;
+        let mut s = CmServer::new(cfg).unwrap();
+        s.add_object(700).unwrap();
+        let (_, expected) = first_overflow(&s, 700);
+        let objects = s.engine().catalog().objects().to_vec();
+        let census = s.load_census();
+        assert_eq!(s.add_object(700), Err(ServerError::DiskFull(expected)));
+        assert_eq!(s.engine().catalog().objects(), objects.as_slice());
+        assert_eq!(s.load_census(), census);
+        assert_eq!(s.store().len(), 700);
+        assert!(s.residency_consistent());
+        // The blocks before the first overflow fit exactly.
+        let (fits, full) = first_overflow(&s, 700);
+        s.add_object(fits).unwrap();
+        assert_eq!(s.store().blocks_on(full), 300);
+        assert!(s.residency_consistent());
     }
 }
 

@@ -6,16 +6,148 @@
 //! locations, and it validates every applied move plan against the
 //! engine's arithmetic (a continuous end-to-end check that `RF()` and
 //! `AF()` agree).
+//!
+//! Residency lives in a [`BlockTable`]: one dense vector per object,
+//! indexed by block number, so a lookup is one object probe plus an
+//! index — 16 B per block instead of a per-block hash entry.
 
 use scaddar_baselines::PhysicalDiskId;
-use scaddar_core::{BlockMove, BlockRef};
+use scaddar_core::{BlockMove, BlockRef, ObjectId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Residency of all blocks, keyed by block reference.
+/// Hasher for `u64` id newtypes (`ObjectId`, `PhysicalDiskId`): one
+/// multiply by an odd constant, with the well-mixed high bits rotated
+/// down to where the table picks its bucket. Far cheaper than SipHash,
+/// and safe here because every key is minted by the program (catalog
+/// object ids, physical disk serials), never chosen by a client.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A hash map keyed by a `u64` id newtype.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A dense per-object table of one value per block, indexed by block
+/// number. `T::default()` is the empty slot: a block whose slot is empty
+/// is absent. Trailing empty slots are trimmed and an object with no
+/// live slot is dropped, so memory follows the live blocks.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockTable<T> {
+    objects: IdMap<ObjectId, Vec<T>>,
+    live: usize,
+}
+
+impl<T: Copy + Default + PartialEq> BlockTable<T> {
+    /// Number of non-empty slots. O(1).
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// The slot of `block` (empty when absent).
+    pub(crate) fn get(&self, block: BlockRef) -> T {
+        let slots = self.object(block.object);
+        usize::try_from(block.block)
+            .ok()
+            .and_then(|b| slots.get(b))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// All slots of `object` in block order (empty slice when absent).
+    pub(crate) fn object(&self, object: ObjectId) -> &[T] {
+        self.objects.get(&object).map_or(&[], Vec::as_slice)
+    }
+
+    /// Sets the slot of `block`, returning its previous value.
+    pub(crate) fn set(&mut self, block: BlockRef, value: T) -> T {
+        let empty = T::default();
+        let index = usize::try_from(block.block).expect("block number fits in memory");
+        if value == empty {
+            let Some(slots) = self.objects.get_mut(&block.object) else {
+                return empty;
+            };
+            let Some(slot) = slots.get_mut(index) else {
+                return empty;
+            };
+            let prev = std::mem::replace(slot, empty);
+            if prev != empty {
+                self.live -= 1;
+                while slots.last() == Some(&empty) {
+                    slots.pop();
+                }
+                if slots.is_empty() {
+                    self.objects.remove(&block.object);
+                }
+            }
+            return prev;
+        }
+        let slots = self.objects.entry(block.object).or_default();
+        if slots.len() <= index {
+            slots.resize(index + 1, empty);
+        }
+        let prev = std::mem::replace(&mut slots[index], value);
+        if prev == empty {
+            self.live += 1;
+        }
+        prev
+    }
+
+    /// Sizes `object`'s slots for `blocks` blocks up front, so setting
+    /// them in order never reallocates.
+    pub(crate) fn reserve(&mut self, object: ObjectId, blocks: usize) {
+        if blocks > 0 {
+            let slots = self.objects.entry(object).or_default();
+            slots.reserve_exact(blocks.saturating_sub(slots.len()));
+        }
+    }
+
+    /// Removes every slot of `object`, returning them in block order.
+    pub(crate) fn take_object(&mut self, object: ObjectId) -> Vec<T> {
+        let slots = self.objects.remove(&object).unwrap_or_default();
+        self.live -= slots.iter().filter(|&&v| v != T::default()).count();
+        slots
+    }
+
+    /// Every non-empty slot, unordered.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockRef, T)> + '_ {
+        self.objects.iter().flat_map(|(&object, slots)| {
+            slots.iter().enumerate().filter_map(move |(b, &v)| {
+                (v != T::default()).then_some((
+                    BlockRef {
+                        object,
+                        block: b as u64,
+                    },
+                    v,
+                ))
+            })
+        })
+    }
+}
+
+/// Residency of all blocks: a dense per-object table plus a per-disk
+/// census. An object costs 16 B per block up to its highest stored
+/// block number, so block numbers are expected to be dense, as catalog
+/// objects' `0..blocks` are.
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
-    residency: HashMap<BlockRef, PhysicalDiskId>,
-    per_disk: HashMap<PhysicalDiskId, u64>,
+    residency: BlockTable<Option<PhysicalDiskId>>,
+    per_disk: IdMap<PhysicalDiskId, u64>,
 }
 
 impl BlockStore {
@@ -31,7 +163,7 @@ impl BlockStore {
 
     /// True when no blocks are stored.
     pub fn is_empty(&self) -> bool {
-        self.residency.is_empty()
+        self.residency.len() == 0
     }
 
     /// Ingests a block onto a disk (initial load or object addition).
@@ -39,25 +171,49 @@ impl BlockStore {
     /// # Panics
     /// If the block is already stored (double ingest is a logic error).
     pub fn ingest(&mut self, block: BlockRef, disk: PhysicalDiskId) {
-        let prev = self.residency.insert(block, disk);
+        let prev = self.residency.set(block, Some(disk));
         assert!(prev.is_none(), "block {block:?} ingested twice");
         *self.per_disk.entry(disk).or_insert(0) += 1;
     }
 
+    /// Ingests blocks `0..disks.len()` of `object`, block `b` onto
+    /// `disks[b]`.
+    ///
+    /// # Panics
+    /// If any of those blocks is already stored.
+    pub fn ingest_object(&mut self, object: ObjectId, disks: &[PhysicalDiskId]) {
+        self.residency.reserve(object, disks.len());
+        for (b, &disk) in disks.iter().enumerate() {
+            self.ingest(
+                BlockRef {
+                    object,
+                    block: b as u64,
+                },
+                disk,
+            );
+        }
+    }
+
     /// Drops a block (object deletion).
     pub fn evict(&mut self, block: BlockRef) -> Option<PhysicalDiskId> {
-        let disk = self.residency.remove(&block)?;
-        let count = self.per_disk.get_mut(&disk).expect("census in sync");
-        *count -= 1;
-        if *count == 0 {
-            self.per_disk.remove(&disk);
-        }
+        let disk = self.residency.set(block, None)?;
+        self.uncount(disk);
         Some(disk)
+    }
+
+    /// Drops every block of `object`. Returns how many were stored.
+    pub fn evict_object(&mut self, object: ObjectId) -> u64 {
+        let mut evicted = 0;
+        for disk in self.residency.take_object(object).into_iter().flatten() {
+            self.uncount(disk);
+            evicted += 1;
+        }
+        evicted
     }
 
     /// Where a block's data currently lives.
     pub fn locate(&self, block: BlockRef) -> Option<PhysicalDiskId> {
-        self.residency.get(&block).copied()
+        self.residency.get(block)
     }
 
     /// Moves one block between disks.
@@ -66,18 +222,11 @@ impl BlockStore {
     /// If the block is unknown or not on `from` — both indicate the move
     /// plan and the store have diverged, which must never happen.
     pub fn relocate(&mut self, block: BlockRef, from: PhysicalDiskId, to: PhysicalDiskId) {
-        let slot = self
-            .residency
-            .get_mut(&block)
+        let stored = self
+            .locate(block)
             .unwrap_or_else(|| panic!("relocating unknown block {block:?}"));
-        assert_eq!(*slot, from, "move plan disagrees with store for {block:?}");
-        *slot = to;
-        let count = self.per_disk.get_mut(&from).expect("census in sync");
-        *count -= 1;
-        if *count == 0 {
-            self.per_disk.remove(&from);
-        }
-        *self.per_disk.entry(to).or_insert(0) += 1;
+        assert_eq!(stored, from, "move plan disagrees with store for {block:?}");
+        self.relocate_reconstructed(block, to);
     }
 
     /// Moves a block to `to` from wherever the store believes it is,
@@ -96,15 +245,19 @@ impl BlockStore {
         let from = self
             .locate(block)
             .unwrap_or_else(|| panic!("reconstructing unknown block {block:?}"));
-        let slot = self.residency.get_mut(&block).expect("just located");
-        *slot = to;
-        let count = self.per_disk.get_mut(&from).expect("census in sync");
-        *count -= 1;
-        if *count == 0 {
-            self.per_disk.remove(&from);
-        }
+        self.residency.set(block, Some(to));
+        self.uncount(from);
         *self.per_disk.entry(to).or_insert(0) += 1;
         from
+    }
+
+    /// Takes one block off `disk`'s census.
+    fn uncount(&mut self, disk: PhysicalDiskId) {
+        let count = self.per_disk.get_mut(&disk).expect("census in sync");
+        *count -= 1;
+        if *count == 0 {
+            self.per_disk.remove(&disk);
+        }
     }
 
     /// Number of blocks currently on `disk`.
@@ -117,7 +270,7 @@ impl BlockStore {
     pub fn scan_disk(&self, disk: PhysicalDiskId) -> Vec<BlockRef> {
         self.residency
             .iter()
-            .filter_map(|(b, &d)| (d == disk).then_some(*b))
+            .filter_map(|(b, d)| (d == Some(disk)).then_some(b))
             .collect()
     }
 
@@ -144,7 +297,7 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scaddar_core::ObjectId;
+    use scaddar_prng::{SeededRng, SplitMix64};
 
     fn blk(o: u64, b: u64) -> BlockRef {
         BlockRef {
@@ -208,5 +361,121 @@ mod tests {
             s.census(&[PhysicalDiskId(0), PhysicalDiskId(1)]),
             vec![5, 5]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown")]
+    fn relocate_unknown_block_panics() {
+        let mut s = BlockStore::new();
+        s.ingest(blk(1, 0), PhysicalDiskId(0));
+        s.relocate(blk(1, 1), PhysicalDiskId(0), PhysicalDiskId(3));
+    }
+
+    #[test]
+    fn table_memory_follows_live_blocks() {
+        let mut s = BlockStore::new();
+        s.ingest(blk(3, 100), PhysicalDiskId(0));
+        s.ingest(blk(3, 7), PhysicalDiskId(1));
+        assert_eq!(s.residency.object(ObjectId(3)).len(), 101);
+        assert_eq!(s.evict(blk(3, 100)), Some(PhysicalDiskId(0)));
+        assert_eq!(s.residency.object(ObjectId(3)).len(), 8, "tail trimmed");
+        assert_eq!(s.evict(blk(3, 7)), Some(PhysicalDiskId(1)));
+        assert!(s.residency.objects.is_empty(), "empty object dropped");
+        assert!(s.is_empty());
+    }
+
+    /// One random step of the model test, applied to both the store and
+    /// a plain hash-map reference.
+    fn model_step(
+        rng: &mut SplitMix64,
+        store: &mut BlockStore,
+        model: &mut HashMap<BlockRef, PhysicalDiskId>,
+    ) {
+        const OBJECTS: u64 = 4;
+        const BLOCKS: u64 = 48;
+        const DISKS: u64 = 5;
+        let disk = PhysicalDiskId(rng.next_u64() % DISKS);
+        let mut stored: Vec<BlockRef> = model.keys().copied().collect();
+        stored.sort();
+        let pick = |r: u64| stored.get(r as usize % stored.len().max(1)).copied();
+        match rng.next_u64() % 7 {
+            // Ingest at a random, usually non-contiguous, block number.
+            0 | 1 => {
+                let b = blk(rng.next_u64() % OBJECTS, rng.next_u64() % BLOCKS);
+                if let std::collections::hash_map::Entry::Vacant(e) = model.entry(b) {
+                    e.insert(disk);
+                    store.ingest(b, disk);
+                }
+            }
+            // Evict any block, stored or not.
+            2 => {
+                let b = blk(rng.next_u64() % OBJECTS, rng.next_u64() % BLOCKS);
+                assert_eq!(store.evict(b), model.remove(&b));
+            }
+            // Evict then re-ingest elsewhere.
+            3 => {
+                if let Some(b) = pick(rng.next_u64()) {
+                    assert_eq!(store.evict(b), model.remove(&b));
+                    store.ingest(b, disk);
+                    model.insert(b, disk);
+                }
+            }
+            4 => {
+                if let Some(b) = pick(rng.next_u64()) {
+                    let from = model[&b];
+                    store.relocate(b, from, disk);
+                    model.insert(b, disk);
+                }
+            }
+            5 => {
+                if let Some(b) = pick(rng.next_u64()) {
+                    let prior = model.insert(b, disk).expect("picked a stored block");
+                    assert_eq!(store.relocate_reconstructed(b, disk), prior);
+                }
+            }
+            _ => {
+                let object = ObjectId(rng.next_u64() % OBJECTS);
+                let before = model.len();
+                model.retain(|b, _| b.object != object);
+                assert_eq!(store.evict_object(object), (before - model.len()) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn dense_table_matches_a_hash_map_model() {
+        let disks: Vec<PhysicalDiskId> = (0..5).map(PhysicalDiskId).collect();
+        for seed in 0..16 {
+            let mut rng = SplitMix64::from_seed(seed);
+            let mut store = BlockStore::new();
+            let mut model: HashMap<BlockRef, PhysicalDiskId> = HashMap::new();
+            for step in 0..400 {
+                model_step(&mut rng, &mut store, &mut model);
+                let ctx = format!("seed {seed} step {step}");
+                assert_eq!(store.len(), model.len(), "{ctx}");
+                for o in 0..4 {
+                    for b in 0..48 {
+                        let r = blk(o, b);
+                        assert_eq!(store.locate(r), model.get(&r).copied(), "{ctx} {r:?}");
+                    }
+                }
+                let census: Vec<u64> = disks
+                    .iter()
+                    .map(|d| model.values().filter(|&v| v == d).count() as u64)
+                    .collect();
+                assert_eq!(store.census(&disks), census, "{ctx}");
+                for (&d, &n) in disks.iter().zip(&census) {
+                    assert_eq!(store.blocks_on(d), n, "{ctx}");
+                    let mut scanned = store.scan_disk(d);
+                    scanned.sort();
+                    let mut expect: Vec<BlockRef> = model
+                        .iter()
+                        .filter_map(|(&b, &v)| (v == d).then_some(b))
+                        .collect();
+                    expect.sort();
+                    assert_eq!(scanned, expect, "{ctx}");
+                }
+            }
+        }
     }
 }
