@@ -526,44 +526,43 @@ impl CmServer {
         // Drop superseded pending moves for re-planned blocks (an idle
         // executor has nothing to supersede).
         if !self.executor.is_idle() {
-            let replanned: HashSet<BlockRef> = plan.moves.iter().map(|m| m.block).collect();
-            self.executor.cancel_blocks(|b| replanned.contains(&b));
+            let mut replanned = BlockTable::default();
+            for m in &plan.moves {
+                replanned.set(m.block, true);
+            }
+            self.executor.cancel_blocks(|b| replanned.get(b));
         }
-        let moves: Vec<PendingMove> = plan
-            .moves
-            .iter()
-            .filter_map(|m| {
-                let stored = self
-                    .store
-                    .locate(m.block)
-                    .expect("planned block exists in store");
-                let to = self.disks.physical(m.to);
-                if self.failed.contains(&stored) {
-                    // Reconstruction: data is read from the pre-op
-                    // mirror. Keep the move even when mirror == target —
-                    // the block must still be materialized there (the
-                    // executor treats it as a one-disk local copy).
-                    let mirror = crate::faults::mirror_of(m.from, n_prev);
-                    Some(PendingMove {
-                        block: m.block,
-                        from: pre_physicals[mirror.0 as usize],
-                        to,
-                    })
-                } else if stored == to {
-                    // Already in place (a replanned block whose earlier
-                    // pending move had completed to the same target).
-                    None
-                } else {
-                    Some(PendingMove {
-                        block: m.block,
-                        from: stored,
-                        to,
-                    })
-                }
-            })
-            .collect();
-        let queued = moves.len() as u64;
-        self.executor.enqueue(moves);
+        let backlog = self.executor.backlog();
+        self.executor.enqueue(plan.moves.iter().filter_map(|m| {
+            let stored = self
+                .store
+                .locate(m.block)
+                .expect("planned block exists in store");
+            let to = self.disks.physical(m.to);
+            if self.failed.contains(&stored) {
+                // Reconstruction: data is read from the pre-op
+                // mirror. Keep the move even when mirror == target —
+                // the block must still be materialized there (the
+                // executor treats it as a one-disk local copy).
+                let mirror = crate::faults::mirror_of(m.from, n_prev);
+                Some(PendingMove {
+                    block: m.block,
+                    from: pre_physicals[mirror.0 as usize],
+                    to,
+                })
+            } else if stored == to {
+                // Already in place (a replanned block whose earlier
+                // pending move had completed to the same target).
+                None
+            } else {
+                Some(PendingMove {
+                    block: m.block,
+                    from: stored,
+                    to,
+                })
+            }
+        }));
+        let queued = self.executor.backlog() - backlog;
         if let (Some(stats), Some(start)) = (&self.stats, scale_start) {
             stats.scale_ops.inc();
             stats.moves_queued.add(queued);
@@ -600,16 +599,13 @@ impl CmServer {
         executed.len() as u64
     }
 
-    /// Applies executed moves to the store. A move whose source differs
+    /// Applies executed moves to the store: one residency probe each.
+    /// The source is not re-checked, because a move whose source differs
     /// from the stored location is a *reconstruction* (the stored copy
     /// died with a failed disk; the data flowed from a mirror).
     fn apply_executed(&mut self, executed: &[PendingMove]) {
         for mv in executed {
-            if self.store.locate(mv.block) == Some(mv.from) {
-                self.store.relocate(mv.block, mv.from, mv.to);
-            } else {
-                self.store.relocate_reconstructed(mv.block, mv.to);
-            }
+            self.store.relocate_reconstructed(mv.block, mv.to);
         }
     }
 
@@ -1063,6 +1059,55 @@ mod tests {
         s.add_object(5_000).unwrap();
         assert!(s.residency_consistent());
         assert_eq!(s.load_census().iter().sum::<u64>(), 5_000);
+    }
+
+    /// Online scaling with a backlog cancels exactly the re-planned
+    /// blocks' pending moves and appends the new plan: the queue equals
+    /// the one a plain `HashSet` of planned blocks would leave.
+    #[test]
+    fn replanned_queue_matches_hash_set_reference() {
+        let mut s = CmServer::new(
+            ServerConfig::new(5)
+                .with_redistribution_bandwidth(4)
+                .with_catalog_seed(33),
+        )
+        .unwrap();
+        s.add_object(3_000).unwrap();
+        s.add_object(1_200).unwrap();
+        s.scale(ScalingOp::Add { count: 2 }).unwrap();
+        s.tick();
+        for op in [ScalingOp::remove_one(5), ScalingOp::Add { count: 1 }] {
+            assert!(!s.executor.is_idle(), "the executor must have a backlog");
+            let mut engine = s.engine().clone();
+            engine.detach_stats();
+            let plan = engine.scale(op.clone()).unwrap();
+            let replanned: HashSet<BlockRef> = plan.moves.iter().map(|m| m.block).collect();
+            let mut disks = s.disks().clone();
+            disks.apply(&op).unwrap();
+            let mut expected: Vec<PendingMove> = s
+                .executor
+                .pending()
+                .filter(|m| !replanned.contains(&m.block))
+                .copied()
+                .collect();
+            let cancelled = s.executor.pending().count() - expected.len();
+            assert!(cancelled > 0, "some pending block must be re-planned");
+            expected.extend(plan.moves.iter().filter_map(|m| {
+                let stored = s.store().locate(m.block).unwrap();
+                let to = disks.physical(m.to);
+                (stored != to).then_some(PendingMove {
+                    block: m.block,
+                    from: stored,
+                    to,
+                })
+            }));
+            s.scale(op).unwrap();
+            let queue: Vec<PendingMove> = s.executor.pending().copied().collect();
+            assert_eq!(queue, expected);
+            s.tick();
+        }
+        s.drain_all_moves();
+        assert!(s.residency_consistent());
     }
 
     #[test]

@@ -230,10 +230,11 @@ impl BlockStore {
     }
 
     /// Moves a block to `to` from wherever the store believes it is,
-    /// without checking the source. For *reconstruction* paths only
-    /// (rebuilding a failed disk's block from its mirror): the stored
-    /// location is the dead disk, and the data actually flows from the
-    /// replica. Returns the prior location.
+    /// without checking the source: one residency probe. The server
+    /// applies executed moves through this, since a *reconstruction*
+    /// (rebuilding a failed disk's block from its mirror) has the dead
+    /// disk as its stored location while the data actually flows from
+    /// the replica. Returns the prior location.
     ///
     /// # Panics
     /// If the block is unknown.

@@ -76,8 +76,8 @@ pub use ops::{RemovedSet, ScalingOp};
 pub use persist::{PersistError, Snapshot};
 pub use pipeline::RemapPipeline;
 pub use plan::{
-    plan_last_op, plan_last_op_parallel, plan_last_op_parallel_instrumented, plan_last_op_with_x,
-    BlockMove, MovePlan, OpMovement,
+    plan_last_op, plan_last_op_parallel, plan_last_op_parallel_instrumented, BlockMove, MovePlan,
+    OpMovement,
 };
 pub use stats::EngineStats;
 pub use xcache::XCache;
@@ -423,37 +423,36 @@ impl Scaddar {
 
     /// Applies a scaling operation and returns the move plan (`RF()`).
     ///
-    /// O(B): the cache already holds every block's `X_{j-1}`, so the plan
-    /// applies only the new record, and advancing the cache afterwards is
-    /// the same single [`RemapPipeline::step`] per block. (The stateless
-    /// O(B·j) [`plan_last_op`] computes the identical plan.)
+    /// O(B), one pass: the cache already holds every block's `X_{j-1}`,
+    /// so [`XCache::advance_one`] applies the new compiled step to each
+    /// block once, rewriting it to `X_j` and emitting its move from the
+    /// same arithmetic. (The stateless O(B·j) [`plan_last_op`] computes
+    /// the identical plan.)
     pub fn scale(&mut self, op: ScalingOp) -> Result<MovePlan, ScaddarError> {
         let scale_start = self.stats.as_ref().map(|s| s.clock.now_ns());
         let disks_before = self.log.current_disks();
-        let record = self.log.push(&op)?;
-        let disks_after = record.disks_after();
+        let disks_after = self.log.push(&op)?.disks_after();
         self.fairness.record_op(disks_after);
         self.pipeline.extend_from(&self.log);
+        let record = self.log.records().last().expect("op was just pushed");
         let plan_start = self.stats.as_ref().map(|s| s.clock.now_ns());
-        let plan = plan_last_op_with_x(self.cache.blocks_with_x(&self.catalog), &self.log);
+        let plan = self
+            .cache
+            .advance_one(&self.catalog, &self.pipeline, record);
         if let (Some(stats), Some(start)) = (&self.stats, plan_start) {
             stats
                 .plan_ns
                 .record(stats.clock.now_ns().saturating_sub(start));
             stats.plan_blocks.add(plan.total_blocks);
         }
-        self.cache.advance_to(&self.pipeline);
         self.movements
             .push(OpMovement::from_plan(&plan, disks_before, disks_after));
         if let (Some(stats), Some(start)) = (&self.stats, scale_start) {
             stats.scale_ops.inc();
             stats.scale_moved_blocks.add(plan.moves.len() as u64);
             stats.xcache_epoch_bumps.inc();
-            // Planning applied the new record once per block; advancing
-            // the cache applied it once more.
-            stats
-                .pipeline_folds
-                .add(plan.total_blocks.saturating_mul(2));
+            // The fused pass applied the new record once per block.
+            stats.pipeline_folds.add(plan.total_blocks);
             stats
                 .scale_ns
                 .record(stats.clock.now_ns().saturating_sub(start));
@@ -1045,6 +1044,30 @@ mod tests {
 
         s.full_redistribution();
         assert_eq!(stats.xcache_rebuilds.get(), 2);
+    }
+
+    #[test]
+    fn scale_folds_each_block_once() {
+        use scaddar_obs::{MetricValue, Registry, VirtualClock};
+        let registry = Registry::new();
+        let stats = EngineStats::register(&registry, Arc::new(VirtualClock::new()));
+        let (mut s, _) = engine(4, 1_500);
+        s.add_object(700);
+        s.attach_stats(stats.clone());
+        let folds = || match registry.value("scaddar_core_pipeline_folds_total") {
+            Some(MetricValue::Counter(n)) => n,
+            other => panic!("folds counter missing: {other:?}"),
+        };
+        for (i, op) in [ScalingOp::Add { count: 2 }, ScalingOp::remove_one(1)]
+            .into_iter()
+            .enumerate()
+        {
+            let before = folds();
+            let plan = s.scale(op).unwrap();
+            assert_eq!(plan.total_blocks, 2_200);
+            assert_eq!(folds() - before, plan.total_blocks);
+            assert_eq!(stats.plan_ns.snapshot().count, i as u64 + 1);
+        }
     }
 
     #[test]

@@ -18,13 +18,17 @@
 //!
 //! The pipeline is append-only, mirroring the log: after a scaling
 //! operation, [`RemapPipeline::extend_from`] compiles just the new
-//! records. Equivalence with the reference fold
+//! records, and [`RemapPipeline::apply_last_step`] then advances the
+//! X-cache and plans the operation's moves in one pass over the blocks.
+//! Equivalence with the reference fold
 //! ([`crate::address::x_at_current_epoch`]) is property-tested for
 //! arbitrary op sequences and full-range `u64` inputs.
 
 use crate::address::DiskIndex;
 use crate::log::{RecordAction, ScalingLog, ScalingRecord};
+use crate::object::{BlockRef, ObjectId};
 use crate::ops::RemovedSet;
+use crate::plan::BlockMove;
 
 /// Sentinel in a step's `table_off` marking an addition step (additions
 /// need no renumber table; it doubles as the op-kind tag).
@@ -240,15 +244,52 @@ impl RemapPipeline {
         x
     }
 
-    /// Folds `x` (a value at epoch `from`) through steps `from..epoch()`.
-    /// The X-cache uses this with `from = epoch() - 1` to advance by
-    /// exactly one `REMAP` per scaling operation.
-    #[inline]
-    pub fn fold_from(&self, from: usize, mut x: u64) -> u64 {
-        for step in &self.steps[from..] {
-            x = step.apply(x, &self.tables).0;
+    /// Applies the last compiled step (`REMAP_j`) in place to `xs`, the
+    /// `X_{j-1}` values of blocks `0..xs.len()` of `object`, and pushes a
+    /// [`BlockMove`] for every block that changes disks — `RF()` and the
+    /// X-cache upkeep in one pass. The move's `from` is the remainder the
+    /// step computes anyway (`X_{j-1} mod N_{j-1}`); its `to` is
+    /// `X_j mod N_j`, which for an addition is the step's fresh draw `t`
+    /// and for a removal one strength-reduced `rem`.
+    ///
+    /// # Panics
+    /// If the pipeline has no step.
+    pub fn apply_last_step(&self, object: ObjectId, xs: &mut [u64], moves: &mut Vec<BlockMove>) {
+        let step = self.steps.last().expect("pipeline has no step to apply");
+        let np = step.n_prev;
+        let nn = step.n_new;
+        let moved = |block: usize, from: u64, to: u64| BlockMove {
+            block: BlockRef {
+                object,
+                block: block as u64,
+            },
+            from: DiskIndex(from as u32),
+            to: DiskIndex(to as u32),
+        };
+        if step.table_off == ADDITION {
+            for (b, x) in xs.iter_mut().enumerate() {
+                let (q, r) = np.divmod(*x);
+                let t = nn.rem(q);
+                if t < np.d {
+                    *x = q - t + r;
+                } else {
+                    *x = q;
+                    moves.push(moved(b, r, t));
+                }
+            }
+        } else {
+            let table = &self.tables[step.table_off..step.table_off + np.d as usize];
+            for (b, x) in xs.iter_mut().enumerate() {
+                let (q, r) = np.divmod(*x);
+                let m = table[r as usize];
+                if m == RemovedSet::REMOVED {
+                    *x = q;
+                    moves.push(moved(b, r, nn.rem(q)));
+                } else {
+                    *x = q * nn.d + u64::from(m);
+                }
+            }
         }
-        x
     }
 
     /// Folds a whole batch of `X_0` values to `X_j` in place.
@@ -463,12 +504,51 @@ mod tests {
     }
 
     #[test]
-    fn fold_from_composes() {
-        let log = mixed_log();
-        let pipe = RemapPipeline::compile(&log);
-        for x0 in [0u64, 7, 999_999, u64::MAX / 7] {
-            let mid = RemapPipeline::compile_prefix(&log, 2).fold(x0);
-            assert_eq!(pipe.fold_from(2, mid), pipe.fold(x0));
+    fn apply_last_step_composes_and_emits_step_moves() {
+        // Mixed log, plus a walk through N = 1 on both sides of a step.
+        let one_disk = log_with(
+            3,
+            &[
+                ScalingOp::Remove { disks: vec![0, 2] },
+                ScalingOp::Add { count: 2 },
+                ScalingOp::Remove { disks: vec![0, 1] },
+            ],
+        );
+        for log in [mixed_log(), one_disk] {
+            let x0s: Vec<u64> = (0..3_000u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .chain([0, u64::MAX])
+                .collect();
+            for e in 1..=log.epoch() {
+                let pipe = RemapPipeline::compile_prefix(&log, e);
+                let mut xs: Vec<u64> = x0s.clone();
+                RemapPipeline::compile_prefix(&log, e - 1).fold_batch(&mut xs);
+                let record = &log.records()[e - 1];
+                let (n_prev, n_new) = (
+                    u64::from(record.disks_before()),
+                    u64::from(record.disks_after()),
+                );
+                let expected: Vec<BlockMove> = xs
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(b, &x)| {
+                        let (x_new, moved) = pipe.step(e - 1, x);
+                        moved.then_some(BlockMove {
+                            block: BlockRef {
+                                object: ObjectId(9),
+                                block: b as u64,
+                            },
+                            from: DiskIndex((x % n_prev) as u32),
+                            to: DiskIndex((x_new % n_new) as u32),
+                        })
+                    })
+                    .collect();
+                let mut moves = Vec::new();
+                pipe.apply_last_step(ObjectId(9), &mut xs, &mut moves);
+                let folded: Vec<u64> = x0s.iter().map(|&x0| pipe.fold(x0)).collect();
+                assert_eq!(xs, folded, "epoch {e}");
+                assert_eq!(moves, expected, "epoch {e}");
+            }
         }
     }
 

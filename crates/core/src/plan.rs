@@ -142,8 +142,8 @@ impl OpMovement {
 /// The log must already contain the operation (push first, then plan);
 /// this keeps a single source of truth for epochs. For each block the
 /// chain `X_0 … X_{j-1}` is recomputed and the final record applied —
-/// `O(B·j)` total. [`plan_last_op_with_x`] is the `O(B)` variant for
-/// callers that cache `X_{j-1}`.
+/// `O(B·j)` total — the reference the engine's one-pass
+/// [`XCache::advance_one`](crate::XCache::advance_one) is tested against.
 ///
 /// # Panics
 /// If the log has no operations.
@@ -355,17 +355,6 @@ fn plan_parallel_inner(
     merged
 }
 
-/// Plans the moves for the last operation given each block's *current*
-/// random number `X_{j-1}` (e.g. from the simulator's residency store).
-pub fn plan_last_op_with_x<I>(blocks_with_x_prev: I, log: &ScalingLog) -> MovePlan
-where
-    I: IntoIterator<Item = (BlockRef, u64)>,
-{
-    let j = log.epoch();
-    assert!(j > 0, "log has no scaling operation to plan");
-    plan_from_x_prev(blocks_with_x_prev, &log.records()[j - 1], j)
-}
-
 fn plan_from_x_prev<I>(blocks: I, record: &ScalingRecord, target_epoch: usize) -> MovePlan
 where
     I: IntoIterator<Item = (BlockRef, u64)>,
@@ -443,23 +432,6 @@ mod tests {
         let min = *census.iter().min().unwrap() as f64;
         let max = *census.iter().max().unwrap() as f64;
         assert!(max / min < 1.15, "skewed removal targets {census:?}");
-    }
-
-    #[test]
-    fn cached_x_variant_agrees_with_full_recompute() {
-        let (catalog, mut log) = setup(10_000);
-        log.push(&ScalingOp::Add { count: 2 }).unwrap();
-        log.push(&ScalingOp::remove_one(3)).unwrap();
-        // Plan op 2 both ways.
-        let full = plan_last_op(&catalog, &log);
-        let mut one_op_log = ScalingLog::new(4).unwrap();
-        one_op_log.push(&ScalingOp::Add { count: 2 }).unwrap();
-        let cached: Vec<_> = catalog
-            .iter_x0()
-            .map(|(r, x0)| (r, crate::address::x_at_current_epoch(x0, &one_op_log)))
-            .collect();
-        let incremental = plan_last_op_with_x(cached, &log);
-        assert_eq!(full, incremental);
     }
 
     #[test]

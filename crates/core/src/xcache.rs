@@ -1,5 +1,5 @@
 //! Epoch-tagged cache of current random numbers `X_j` — the engine-side
-//! state that makes `locate()` O(1) amortized and `plan_last_op` O(B).
+//! state that makes `locate()` O(1) amortized and scaling O(B).
 //!
 //! SCADDAR's access function recomputes `X_0 → X_j` on every lookup —
 //! O(j) per block, O(B·j) per planning pass. But `X_j` evolves by
@@ -7,22 +7,26 @@
 //! each block's current `X_j` next to the catalog only ever pays:
 //!
 //! * **lookup** — one `mod` (the stored `X_j` is already current);
-//! * **scaling** — one [`RemapPipeline::step`] per block
-//!   ([`XCache::advance_to`]), i.e. O(B) per operation instead of the
-//!   O(B·j) replay, and the same values feed
-//!   [`crate::plan_last_op_with_x`] so planning is O(B) too.
+//! * **scaling** — one strength-reduced `REMAP_j` per block
+//!   ([`XCache::advance_one`]): a single pass that rewrites each cached
+//!   `X_{j-1}` to `X_j` in place and, from the same `divmod`, emits the
+//!   block's move when it changes disks. That pass *is* `RF()`: it
+//!   returns the same [`MovePlan`] as the stateless O(B·j)
+//!   [`crate::plan_last_op`].
 //!
 //! The invalidation rule is the epoch tag: a cache at epoch `e` is valid
-//! against a pipeline at epoch `e` and is advanced by folding every
-//! entry through steps `e..pipeline.epoch()` — never rebuilt from
-//! scratch unless the log itself restarts (full redistribution).
+//! against a pipeline at epoch `e`, and each scaling operation advances
+//! it by exactly one step — never rebuilt from scratch unless the log
+//! itself restarts (full redistribution).
 //!
 //! The cache is an engine-layer acceleration, not placement state: it is
 //! always reconstructible from catalog + log ([`XCache::rebuild`]), and
 //! equivalence with the stateless `X_0`-fold oracle is property-tested.
 
+use crate::log::ScalingRecord;
 use crate::object::{BlockRef, Catalog, CmObject, ObjectId};
 use crate::pipeline::RemapPipeline;
+use crate::plan::MovePlan;
 use std::collections::HashMap;
 
 /// Per-block current random numbers `X_e`, tagged with their epoch `e`.
@@ -99,29 +103,46 @@ impl XCache {
         self.xs.remove(&id);
     }
 
-    /// Advances every cached value to the pipeline's epoch — the
-    /// incremental invalidation rule: one [`RemapPipeline::step`] per
-    /// block per epoch bump (normally exactly one bump, right after a
-    /// scaling operation extended the pipeline).
+    /// Applies scaling operation `record` — the pipeline's last step,
+    /// `REMAP_j` — to every cached `X_{j-1}` in catalog order, moving the
+    /// cache to epoch `j`, and returns the operation's move plan: one
+    /// [`RemapPipeline::apply_last_step`] per object, so each block is
+    /// remapped exactly once.
     ///
     /// # Panics
-    /// If the pipeline is *behind* the cache (stale pipeline).
-    pub fn advance_to(&mut self, pipeline: &RemapPipeline) {
-        assert!(
-            self.epoch <= pipeline.epoch(),
-            "pipeline at epoch {} is behind the cache at epoch {}",
+    /// Unless the pipeline is exactly one step ahead of the cache, or if
+    /// `record` does not end at the pipeline's disk count.
+    pub fn advance_one(
+        &mut self,
+        catalog: &Catalog,
+        pipeline: &RemapPipeline,
+        record: &ScalingRecord,
+    ) -> MovePlan {
+        assert_eq!(
+            self.epoch + 1,
             pipeline.epoch(),
-            self.epoch
+            "pipeline is not exactly one step ahead of the cache"
         );
-        if self.epoch == pipeline.epoch() {
-            return;
-        }
-        for xs in self.xs.values_mut() {
-            for x in xs.iter_mut() {
-                *x = pipeline.fold_from(self.epoch, *x);
+        assert_eq!(
+            record.disks_after(),
+            pipeline.current_disks(),
+            "record is not the pipeline's last step"
+        );
+        let mut moves = Vec::new();
+        let mut total_blocks = 0u64;
+        for obj in catalog.objects() {
+            if let Some(xs) = self.xs.get_mut(&obj.id) {
+                total_blocks += xs.len() as u64;
+                pipeline.apply_last_step(obj.id, xs, &mut moves);
             }
         }
         self.epoch = pipeline.epoch();
+        MovePlan {
+            target_epoch: self.epoch,
+            moves,
+            total_blocks,
+            optimal_fraction: record.optimal_move_fraction(),
+        }
     }
 
     /// `(BlockRef, X_e)` for every catalog block, **in catalog order**
@@ -156,6 +177,7 @@ mod tests {
     use crate::address::x_at_current_epoch;
     use crate::log::ScalingLog;
     use crate::ops::ScalingOp;
+    use crate::plan::plan_last_op;
     use scaddar_prng::{Bits, RngKind};
 
     fn setup() -> (Catalog, ScalingLog) {
@@ -166,7 +188,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_advance_matches_rebuild_and_oracle() {
+    fn advance_one_matches_rebuild_oracle_and_plan() {
         let (catalog, mut log) = setup();
         let mut pipeline = RemapPipeline::compile(&log);
         let mut cache = XCache::rebuild(&catalog, &pipeline);
@@ -176,9 +198,10 @@ mod tests {
             ScalingOp::Add { count: 1 },
             ScalingOp::Remove { disks: vec![2, 5] },
         ] {
-            log.push(&op).unwrap();
+            let record = log.push(&op).unwrap().clone();
             pipeline.extend_from(&log);
-            cache.advance_to(&pipeline);
+            let plan = cache.advance_one(&catalog, &pipeline, &record);
+            assert_eq!(plan, plan_last_op(&catalog, &log), "epoch {}", log.epoch());
             assert_eq!(cache.epoch(), log.epoch());
             let rebuilt = XCache::rebuild(&catalog, &pipeline);
             for obj in catalog.objects() {
@@ -198,17 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn advance_is_idempotent_at_same_epoch() {
+    #[should_panic(expected = "not exactly one step ahead")]
+    fn same_epoch_pipeline_is_rejected() {
         let (catalog, mut log) = setup();
-        log.push(&ScalingOp::add_one()).unwrap();
+        let record = log.push(&ScalingOp::add_one()).unwrap().clone();
         let pipeline = RemapPipeline::compile(&log);
         let mut cache = XCache::rebuild(&catalog, &pipeline);
-        let snapshot = cache.clone();
-        cache.advance_to(&pipeline);
-        assert_eq!(cache.epoch(), snapshot.epoch());
-        for obj in catalog.objects() {
-            assert_eq!(cache.xs(obj.id), snapshot.xs(obj.id));
-        }
+        cache.advance_one(&catalog, &pipeline, &record);
     }
 
     #[test]
@@ -227,12 +246,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "behind the cache")]
+    #[should_panic(expected = "not exactly one step ahead")]
     fn stale_pipeline_is_rejected() {
         let (catalog, mut log) = setup();
         let empty = RemapPipeline::compile(&log);
-        log.push(&ScalingOp::add_one()).unwrap();
+        let record = log.push(&ScalingOp::add_one()).unwrap().clone();
         let mut cache = XCache::rebuild(&catalog, &RemapPipeline::compile(&log));
-        cache.advance_to(&empty);
+        cache.advance_one(&catalog, &empty, &record);
     }
 }

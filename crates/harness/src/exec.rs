@@ -20,8 +20,8 @@ use cmsim::{
     WorkloadConfig,
 };
 use scaddar_core::{
-    plan_last_op, plan_last_op_parallel, BlockRef, DiskIndex, ObjectId, Scaddar, ScaddarConfig,
-    ScalingOp,
+    plan_last_op, plan_last_op_parallel, BlockRef, DiskIndex, MovePlan, ObjectId, Scaddar,
+    ScaddarConfig, ScalingOp,
 };
 use scaddar_monitor::{HealthMonitor, MonitorConfig};
 use scaddar_obs::{Clock, Registry, SpanGuard, Tracer, VirtualClock};
@@ -569,7 +569,7 @@ impl<'a> Executor<'a> {
         // Plan-level invariants first (cheapest, sharpest).
         invariants::check_ro1_exact(&plan, &op, n_prev)?;
         invariants::check_ro1_fraction(&plan)?;
-        self.check_parallel_plan()?;
+        self.check_plans(&plan)?;
         for fault in faults {
             self.inject(i, fault, &op, n_prev, disks_after, &pre_clone)?;
         }
@@ -742,21 +742,25 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// Parallel planning must agree with serial planning exactly.
-    fn check_parallel_plan(&self) -> Result<(), Failure> {
+    /// The engine's one-pass plan (the one the server executes) and the
+    /// parallel planner must both agree with the stateless serial
+    /// planner exactly.
+    fn check_plans(&self, engine: &MovePlan) -> Result<(), Failure> {
         let serial = plan_last_op(self.engine.catalog(), self.engine.log());
         let parallel = plan_last_op_parallel(self.engine.catalog(), self.engine.log(), 4);
-        if serial.moves != parallel.moves || serial.total_blocks != parallel.total_blocks {
-            return Err(Failure {
-                invariant: "oracle-plan",
-                detail: format!(
-                    "parallel plan diverges: {} vs {} moves over {} vs {} blocks",
-                    parallel.moves.len(),
-                    serial.moves.len(),
-                    parallel.total_blocks,
-                    serial.total_blocks
-                ),
-            });
+        for (name, plan) in [("engine", engine), ("parallel", &parallel)] {
+            if serial.moves != plan.moves || serial.total_blocks != plan.total_blocks {
+                return Err(Failure {
+                    invariant: "oracle-plan",
+                    detail: format!(
+                        "{name} plan diverges: {} vs {} moves over {} vs {} blocks",
+                        plan.moves.len(),
+                        serial.moves.len(),
+                        plan.total_blocks,
+                        serial.total_blocks
+                    ),
+                });
+            }
         }
         Ok(())
     }

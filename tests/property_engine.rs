@@ -138,7 +138,8 @@ proptest! {
     }
 
     /// The X-cache advanced incrementally (one REMAP per epoch bump)
-    /// matches a from-scratch rebuild at every epoch.
+    /// matches a from-scratch rebuild at every epoch, and the plan the
+    /// same pass returns is the stateless planner's.
     #[test]
     fn incremental_cache_equals_rebuild((initial, ops) in schedules(8)) {
         let mut catalog = Catalog::new(RngKind::SplitMix64, Bits::B32, 5);
@@ -147,12 +148,55 @@ proptest! {
         let mut pipeline = RemapPipeline::compile(&log);
         let mut cache = XCache::rebuild(&catalog, &pipeline);
         for op in &ops {
-            log.push(op).unwrap();
+            let record = log.push(op).unwrap().clone();
             pipeline.extend_from(&log);
-            cache.advance_to(&pipeline);
+            let plan = cache.advance_one(&catalog, &pipeline, &record);
+            prop_assert_eq!(plan, plan_last_op(&catalog, &log));
             let rebuilt = XCache::rebuild(&catalog, &pipeline);
             prop_assert_eq!(cache.epoch(), rebuilt.epoch());
             prop_assert_eq!(cache.xs(id), rebuilt.xs(id));
         }
     }
+
+    /// The engine's `scale` — the path the server runs — returns the
+    /// stateless planner's plan, and leaves its X-cache equal to a
+    /// rebuild, after every operation of a random history.
+    #[test]
+    fn engine_scale_plan_equals_stateless_plan((initial, ops) in schedules(8)) {
+        let mut engine = Scaddar::new(
+            ScaddarConfig::new(initial).with_catalog_seed(17),
+        ).unwrap();
+        engine.add_object(900);
+        engine.add_object(1);
+        engine.add_object(400);
+        for op in &ops {
+            let plan = engine.scale(op.clone()).unwrap();
+            prop_assert_eq!(plan, plan_last_op(engine.catalog(), engine.log()));
+            prop_assert_eq!(engine.verify_derived_state(), Ok(()));
+        }
+    }
+}
+
+/// `schedules()` keeps at least two disks, so walk `1 → 3 → 1` by hand:
+/// the `N = 1` branch of the strength-reduced divisor on both the
+/// `n_prev` (first op) and `n_new` (second op) side of a step.
+#[test]
+fn engine_scale_through_a_single_disk() {
+    let mut engine = Scaddar::new(ScaddarConfig::new(1).with_catalog_seed(3)).unwrap();
+    let id = engine.add_object(5_000);
+    for op in [
+        ScalingOp::Add { count: 2 },
+        ScalingOp::Remove { disks: vec![0, 2] },
+        ScalingOp::Add { count: 1 },
+    ] {
+        let plan = engine.scale(op).unwrap();
+        assert_eq!(plan, plan_last_op(engine.catalog(), engine.log()));
+        engine.verify_derived_state().unwrap();
+        let obj = *engine.catalog().object(id).unwrap();
+        for block in (0..obj.blocks).step_by(97) {
+            let x0 = engine.catalog().x0(&obj, block);
+            assert_eq!(engine.locate(id, block).unwrap(), locate(x0, engine.log()));
+        }
+    }
+    assert_eq!(engine.disks(), 2);
 }
