@@ -953,34 +953,33 @@ impl CmServer {
     }
 
     /// Bulk lookup: the *physical* disks of the given blocks of one
-    /// object, in input order. Delegates to the engine's cached batch
-    /// path ([`Scaddar::locate_batch`]) and maps logical to physical in
-    /// one pass — the session-serving companion of per-block
+    /// object, in input order. One pass over the engine's cached batch
+    /// path ([`Scaddar::locate_batch_map`]) that maps logical to
+    /// physical as it goes — the session-serving companion of per-block
     /// [`Scaddar::locate`].
     pub fn locate_batch(
         &self,
         object: ObjectId,
         blocks: &[u64],
     ) -> Result<Vec<PhysicalDiskId>, ServerError> {
-        let logical = self.engine.locate_batch(object, blocks)?;
-        let mut out: Vec<PhysicalDiskId> = logical
-            .into_iter()
-            .map(|logical| self.disks.physical(logical))
-            .collect();
         // Dual-generation serving: blocks already migrated answer from
         // the staging generation (new-gen residency first, old-gen
         // fallback — residency is never ambiguous between the two).
-        if let Some(c) = &self.compaction {
-            let migrated = c.migrated.object(object);
-            for (slot, &b) in out.iter_mut().zip(blocks) {
-                if usize::try_from(b).is_ok_and(|b| migrated.get(b) == Some(&true)) {
-                    *slot = self
-                        .disks
-                        .physical(c.staging.locate(object, b).expect("staged block"));
+        let compaction = self
+            .compaction
+            .as_ref()
+            .map(|c| (&c.staging, c.migrated.object(object)));
+        Ok(self.engine.locate_batch_map(object, blocks, |b, logical| {
+            let logical = match compaction {
+                Some((staging, migrated))
+                    if usize::try_from(b).is_ok_and(|b| migrated.get(b) == Some(&true)) =>
+                {
+                    staging.locate(object, b).expect("staged block")
                 }
-            }
-        }
-        Ok(out)
+                _ => logical,
+            };
+            self.disks.physical(logical)
+        })?)
     }
 
     /// Generation-aware `AF()`: the **logical** disk of one block under

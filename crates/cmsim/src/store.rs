@@ -9,7 +9,7 @@
 //!
 //! Residency lives in a [`BlockTable`]: one dense vector per object,
 //! indexed by block number, so a lookup is one object probe plus an
-//! index — 16 B per block instead of a per-block hash entry.
+//! index — a 4 B slot per block instead of a per-block hash entry.
 
 use scaddar_baselines::PhysicalDiskId;
 use scaddar_core::{BlockMove, BlockRef, ObjectId};
@@ -141,13 +141,31 @@ impl<T: Copy + Default + PartialEq> BlockTable<T> {
 }
 
 /// Residency of all blocks: a dense per-object table plus a per-disk
-/// census. An object costs 16 B per block up to its highest stored
+/// census. An object costs 4 B per block up to its highest stored
 /// block number, so block numbers are expected to be dense, as catalog
 /// objects' `0..blocks` are.
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
-    residency: BlockTable<Option<PhysicalDiskId>>,
+    /// Per block, [`slot_of`] its physical disk: id + 1, 0 when absent.
+    residency: BlockTable<u32>,
     per_disk: IdMap<PhysicalDiskId, u64>,
+}
+
+/// The residency slot of `disk`: its id + 1, so 0 stays the empty slot.
+///
+/// # Panics
+/// If the id does not fit a 4-byte slot (more than `u32::MAX - 1`
+/// physical disks minted over the array's lifetime).
+fn slot_of(disk: PhysicalDiskId) -> u32 {
+    disk.0
+        .checked_add(1)
+        .and_then(|slot| u32::try_from(slot).ok())
+        .expect("physical disk id overflows a 4-byte residency slot")
+}
+
+/// The disk a residency slot names (`None` for the empty slot).
+fn disk_of_slot(slot: u32) -> Option<PhysicalDiskId> {
+    slot.checked_sub(1).map(|id| PhysicalDiskId(u64::from(id)))
 }
 
 impl BlockStore {
@@ -171,8 +189,8 @@ impl BlockStore {
     /// # Panics
     /// If the block is already stored (double ingest is a logic error).
     pub fn ingest(&mut self, block: BlockRef, disk: PhysicalDiskId) {
-        let prev = self.residency.set(block, Some(disk));
-        assert!(prev.is_none(), "block {block:?} ingested twice");
+        let prev = self.residency.set(block, slot_of(disk));
+        assert!(prev == 0, "block {block:?} ingested twice");
         *self.per_disk.entry(disk).or_insert(0) += 1;
     }
 
@@ -196,7 +214,7 @@ impl BlockStore {
 
     /// Drops a block (object deletion).
     pub fn evict(&mut self, block: BlockRef) -> Option<PhysicalDiskId> {
-        let disk = self.residency.set(block, None)?;
+        let disk = disk_of_slot(self.residency.set(block, 0))?;
         self.uncount(disk);
         Some(disk)
     }
@@ -204,7 +222,8 @@ impl BlockStore {
     /// Drops every block of `object`. Returns how many were stored.
     pub fn evict_object(&mut self, object: ObjectId) -> u64 {
         let mut evicted = 0;
-        for disk in self.residency.take_object(object).into_iter().flatten() {
+        let slots = self.residency.take_object(object);
+        for disk in slots.into_iter().filter_map(disk_of_slot) {
             self.uncount(disk);
             evicted += 1;
         }
@@ -213,7 +232,7 @@ impl BlockStore {
 
     /// Where a block's data currently lives.
     pub fn locate(&self, block: BlockRef) -> Option<PhysicalDiskId> {
-        self.residency.get(block)
+        disk_of_slot(self.residency.get(block))
     }
 
     /// Moves one block between disks.
@@ -246,7 +265,7 @@ impl BlockStore {
         let from = self
             .locate(block)
             .unwrap_or_else(|| panic!("reconstructing unknown block {block:?}"));
-        self.residency.set(block, Some(to));
+        self.residency.set(block, slot_of(to));
         self.uncount(from);
         *self.per_disk.entry(to).or_insert(0) += 1;
         from
@@ -271,7 +290,7 @@ impl BlockStore {
     pub fn scan_disk(&self, disk: PhysicalDiskId) -> Vec<BlockRef> {
         self.residency
             .iter()
-            .filter_map(|(b, d)| (d == Some(disk)).then_some(b))
+            .filter_map(|(b, slot)| (disk_of_slot(slot) == Some(disk)).then_some(b))
             .collect()
     }
 
@@ -370,6 +389,25 @@ mod tests {
         let mut s = BlockStore::new();
         s.ingest(blk(1, 0), PhysicalDiskId(0));
         s.relocate(blk(1, 1), PhysicalDiskId(0), PhysicalDiskId(3));
+    }
+
+    #[test]
+    fn residency_slot_holds_the_largest_4_byte_id() {
+        let mut s = BlockStore::new();
+        let top = PhysicalDiskId(u64::from(u32::MAX) - 1);
+        s.ingest(blk(0, 0), top);
+        s.ingest(blk(0, 1), PhysicalDiskId(0));
+        assert_eq!(s.locate(blk(0, 0)), Some(top));
+        assert_eq!(s.locate(blk(0, 1)), Some(PhysicalDiskId(0)));
+        assert_eq!(s.scan_disk(top), vec![blk(0, 0)]);
+        assert!(s.scan_disk(PhysicalDiskId(u64::MAX)).is_empty());
+        assert_eq!(s.evict(blk(0, 0)), Some(top));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a 4-byte residency slot")]
+    fn residency_slot_overflow_panics() {
+        BlockStore::new().ingest(blk(0, 0), PhysicalDiskId(u64::from(u32::MAX)));
     }
 
     #[test]

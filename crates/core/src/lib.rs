@@ -217,6 +217,21 @@ pub struct Scaddar {
     generation: u64,
 }
 
+/// The cached `X_j` of `block`, bound-checked against the object's
+/// cached slice, which holds exactly `blocks` values.
+#[inline(always)]
+fn cached_x(xs: &[u64], object: ObjectId, block: u64) -> Result<u64, ScaddarError> {
+    usize::try_from(block)
+        .ok()
+        .and_then(|b| xs.get(b))
+        .copied()
+        .ok_or(ScaddarError::BlockOutOfRange {
+            object,
+            block,
+            blocks: xs.len() as u64,
+        })
+}
+
 /// Generation `g`'s catalog seed, chained from generation `g-1`'s via a
 /// SplitMix64-style finalizer. Deterministic, so two replicas compacting
 /// the same state open identical generations.
@@ -321,7 +336,10 @@ impl Scaddar {
     }
 
     /// `AF()`: the disk of `block` of `object` at the current epoch.
-    /// O(1): one lookup in the X-cache and one `mod` — no per-epoch fold.
+    /// O(1): one lookup in the X-cache and one multiply-high
+    /// ([`RemapPipeline::disk_of`]) — no per-epoch fold, no division,
+    /// and no catalog scan (the cached slice holds exactly the object's
+    /// blocks, so it is the bound check too).
     ///
     /// With stats attached the overhead is one relaxed atomic increment
     /// per call (the X-cache hit counter, which doubles as the sampling
@@ -344,36 +362,24 @@ impl Scaddar {
 
     #[inline]
     fn locate_inner(&self, object: ObjectId, block: u64) -> Result<DiskIndex, ScaddarError> {
-        let obj = self
-            .catalog
-            .object(object)
-            .ok_or(ScaddarError::UnknownObject(object))?;
-        if block >= obj.blocks {
-            return Err(ScaddarError::BlockOutOfRange {
-                object,
-                block,
-                blocks: obj.blocks,
-            });
-        }
-        let x = self
+        let xs = self
             .cache
-            .x(object, block)
-            .expect("cache holds every catalog block");
-        Ok(DiskIndex((x % u64::from(self.disks())) as u32))
+            .xs(object)
+            .ok_or(ScaddarError::UnknownObject(object))?;
+        Ok(self.pipeline.disk_of(cached_x(xs, object, block)?))
     }
 
     /// Bulk `AF()`: the disks of *every* block of `object`, in block
-    /// order. O(B): one `mod` per cached `X_j`.
+    /// order. O(B): one multiply-high per cached `X_j`.
     pub fn locate_all(&self, object: ObjectId) -> Result<Vec<DiskIndex>, ScaddarError> {
         let xs = self
             .cache
             .xs(object)
             .ok_or(ScaddarError::UnknownObject(object))?;
-        let disks = u64::from(self.disks());
         if let Some(stats) = &self.stats {
             stats.locate_bulk_blocks.add(xs.len() as u64);
         }
-        Ok(xs.iter().map(|&x| DiskIndex((x % disks) as u32)).collect())
+        Ok(xs.iter().map(|&x| self.pipeline.disk_of(x)).collect())
     }
 
     /// Bulk `AF()` for an arbitrary list of blocks of one object, in
@@ -384,27 +390,33 @@ impl Scaddar {
         object: ObjectId,
         blocks: &[u64],
     ) -> Result<Vec<DiskIndex>, ScaddarError> {
+        self.locate_batch_map(object, blocks, |_, disk| disk)
+    }
+
+    /// [`Scaddar::locate_batch`] with each answer passed through
+    /// `map(block, disk)` in the same loop, so a caller that translates
+    /// disks (a server mapping logical to physical ids) builds one
+    /// output vector instead of two. Fails on the first block out of
+    /// range, like [`Scaddar::locate_batch`].
+    pub fn locate_batch_map<T>(
+        &self,
+        object: ObjectId,
+        blocks: &[u64],
+        mut map: impl FnMut(u64, DiskIndex) -> T,
+    ) -> Result<Vec<T>, ScaddarError> {
         let xs = self
             .cache
             .xs(object)
             .ok_or(ScaddarError::UnknownObject(object))?;
-        let disks = u64::from(self.disks());
         if let Some(stats) = &self.stats {
             stats.locate_bulk_blocks.add(blocks.len() as u64);
         }
-        blocks
-            .iter()
-            .map(|&block| {
-                let x = xs
-                    .get(block as usize)
-                    .ok_or(ScaddarError::BlockOutOfRange {
-                        object,
-                        block,
-                        blocks: xs.len() as u64,
-                    })?;
-                Ok(DiskIndex((x % disks) as u32))
-            })
-            .collect()
+        let mut out = Vec::with_capacity(blocks.len());
+        for &block in blocks {
+            let disk = self.pipeline.disk_of(cached_x(xs, object, block)?);
+            out.push(map(block, disk));
+        }
+        Ok(out)
     }
 
     /// The full remap history of one block (worked examples, debugging).
@@ -702,10 +714,9 @@ impl Scaddar {
     /// Per-disk block counts across the whole catalog — the load census
     /// behind every balance experiment. O(B) over the cached `X_j`.
     pub fn load_distribution(&self) -> Vec<u64> {
-        let disks = u64::from(self.disks());
-        let mut counts = vec![0u64; disks as usize];
+        let mut counts = vec![0u64; self.disks() as usize];
         for (_, x) in self.cache.blocks_with_x(&self.catalog) {
-            counts[(x % disks) as usize] += 1;
+            counts[self.pipeline.disk_of(x).0 as usize] += 1;
         }
         counts
     }
@@ -736,6 +747,44 @@ mod tests {
         assert_eq!(
             s.locate(ObjectId(42), 0),
             Err(ScaddarError::UnknownObject(ObjectId(42)))
+        );
+    }
+
+    #[test]
+    fn locate_in_a_10k_object_catalog_matches_the_oracle() {
+        let mut s = Scaddar::new(ScaddarConfig::new(4).with_catalog_seed(7)).unwrap();
+        let ids: Vec<ObjectId> = (0..10_000u64).map(|i| s.add_object(1 + i % 5)).collect();
+        for &id in ids.iter().step_by(3) {
+            s.remove_object(id).unwrap();
+        }
+        s.scale(ScalingOp::Add { count: 3 }).unwrap();
+        s.scale(ScalingOp::remove_one(2)).unwrap();
+        for (i, &id) in ids.iter().enumerate() {
+            let blocks = 1 + i as u64 % 5;
+            if i % 3 == 0 {
+                assert_eq!(s.locate(id, 0), Err(ScaddarError::UnknownObject(id)));
+                continue;
+            }
+            let obj = *s.catalog().object(id).unwrap();
+            for block in 0..blocks {
+                let oracle = locate(s.catalog().x0(&obj, block), s.log());
+                assert_eq!(s.locate(id, block), Ok(oracle), "{id} block {block}");
+            }
+            for block in [blocks, u64::MAX] {
+                assert_eq!(
+                    s.locate(id, block),
+                    Err(ScaddarError::BlockOutOfRange {
+                        object: id,
+                        block,
+                        blocks
+                    })
+                );
+            }
+        }
+        let unminted = ObjectId(10_000);
+        assert_eq!(
+            s.locate(unminted, 0),
+            Err(ScaddarError::UnknownObject(unminted))
         );
     }
 
@@ -1028,7 +1077,8 @@ mod tests {
         assert_eq!(stats.xcache_misses.get(), 1);
         s.locate_all(id).unwrap();
         s.locate_batch(id, &[1, 2, 3]).unwrap();
-        assert_eq!(stats.locate_bulk_blocks.get(), 1_003);
+        s.locate_batch_map(id, &[4, 5], |_, d| d).unwrap();
+        assert_eq!(stats.locate_bulk_blocks.get(), 1_005);
 
         let bytes = s.snapshot();
         assert_eq!(stats.persist_bytes_written.get(), bytes.len() as u64);

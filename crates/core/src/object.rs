@@ -64,14 +64,18 @@ impl Catalog {
 
     /// Reconstructs a catalog from persisted parts (see
     /// [`crate::persist`]). `next_id` must be at least one past every id
-    /// in `objects` so ids are never reused after a restore.
+    /// in `objects` so ids are never reused after a restore. Objects are
+    /// kept sorted by id (the order [`Catalog::add_object`] mints them
+    /// in, and what [`Catalog::object`]'s binary search needs), so
+    /// unsorted input is sorted here.
     pub fn restore(
         kind: RngKind,
         bits: Bits,
         catalog_seed: u64,
-        objects: Vec<CmObject>,
+        mut objects: Vec<CmObject>,
         next_id: u64,
     ) -> Self {
+        objects.sort_by_key(|o| o.id);
         debug_assert!(
             objects.iter().all(|o| o.id.0 < next_id),
             "next_id must exceed every restored object id"
@@ -118,13 +122,19 @@ impl Catalog {
     /// Removes an object (e.g. content retired from the service).
     /// Returns its metadata, or `None` if unknown.
     pub fn remove_object(&mut self, id: ObjectId) -> Option<CmObject> {
-        let pos = self.objects.iter().position(|o| o.id == id)?;
+        let pos = self.position(id)?;
         Some(self.objects.remove(pos))
     }
 
-    /// Looks up one object.
+    /// Looks up one object. O(log #objects).
     pub fn object(&self, id: ObjectId) -> Option<&CmObject> {
-        self.objects.iter().find(|o| o.id == id)
+        self.position(id).map(|pos| &self.objects[pos])
+    }
+
+    /// Index of `id` in `objects`, which is sorted by id: ids are minted
+    /// in increasing order and removal keeps the rest in place.
+    fn position(&self, id: ObjectId) -> Option<usize> {
+        self.objects.binary_search_by_key(&id, |o| o.id).ok()
     }
 
     /// All stored objects.
@@ -257,6 +267,36 @@ mod tests {
         assert_eq!(d, ObjectId(2), "ids must never be reused");
         assert!(c.object(a).is_none());
         assert_eq!(c.object(b).unwrap().blocks, 20);
+    }
+
+    #[test]
+    fn lookup_and_removal_in_a_10k_object_catalog() {
+        let mut c = catalog();
+        let ids: Vec<ObjectId> = (0..10_000u64).map(|i| c.add_object(1 + i % 7)).collect();
+        for &id in ids.iter().step_by(3) {
+            assert_eq!(c.remove_object(id).map(|o| o.id), Some(id));
+            assert_eq!(c.remove_object(id), None, "removed twice");
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            match c.object(id) {
+                Some(obj) => {
+                    assert!(i % 3 != 0, "{id} was removed");
+                    assert_eq!((obj.id, obj.blocks), (id, 1 + i as u64 % 7));
+                }
+                None => assert_eq!(i % 3, 0, "{id} went missing"),
+            }
+        }
+        assert!(c.object(ObjectId(10_000)).is_none());
+        assert!(c.object(ObjectId(u64::MAX)).is_none());
+        // A restore from unsorted parts looks up the same objects.
+        let mut shuffled = c.objects().to_vec();
+        shuffled.reverse();
+        shuffled.rotate_left(1_234);
+        let r = Catalog::restore(c.rng_kind(), c.bits(), 99, shuffled, c.next_object_id());
+        assert_eq!(r.objects(), c.objects());
+        for obj in c.objects() {
+            assert_eq!(r.object(obj.id), Some(obj));
+        }
     }
 
     #[test]

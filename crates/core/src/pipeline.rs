@@ -133,7 +133,9 @@ impl Step {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemapPipeline {
     initial_disks: u32,
-    current_disks: u32,
+    /// `N_j` with its reciprocal: the final `X_j mod N_j` of every
+    /// lookup ([`RemapPipeline::disk_of`]).
+    current: MagicDivisor,
     steps: Vec<Step>,
     /// Concatenated dense renumber tables of every removal step.
     tables: Vec<u32>,
@@ -154,7 +156,7 @@ impl RemapPipeline {
         assert!(epochs <= log.epoch(), "epoch {epochs} is in the future");
         let mut pipeline = RemapPipeline {
             initial_disks: log.initial_disks(),
-            current_disks: log.initial_disks(),
+            current: MagicDivisor::new(u64::from(log.initial_disks())),
             steps: Vec::with_capacity(epochs),
             tables: Vec::new(),
         };
@@ -183,7 +185,7 @@ impl RemapPipeline {
             "log is behind the compiled pipeline"
         );
         assert_eq!(
-            self.current_disks,
+            self.current_disks(),
             log.disks_at(self.epoch()),
             "log diverged from the compiled pipeline"
         );
@@ -193,7 +195,7 @@ impl RemapPipeline {
     }
 
     fn push_record(&mut self, record: &ScalingRecord) {
-        debug_assert_eq!(self.current_disks, record.disks_before());
+        debug_assert_eq!(self.current_disks(), record.disks_before());
         let table_off = match record.action() {
             RecordAction::Added { .. } => ADDITION,
             RecordAction::Removed(set) => {
@@ -202,12 +204,13 @@ impl RemapPipeline {
                 off
             }
         };
+        let n_new = MagicDivisor::new(u64::from(record.disks_after()));
         self.steps.push(Step {
-            n_prev: MagicDivisor::new(u64::from(record.disks_before())),
-            n_new: MagicDivisor::new(u64::from(record.disks_after())),
+            n_prev: self.current,
+            n_new,
             table_off,
         });
-        self.current_disks = record.disks_after();
+        self.current = n_new;
     }
 
     /// Number of compiled operations (the epoch the pipeline folds to).
@@ -222,7 +225,16 @@ impl RemapPipeline {
 
     /// `N_j` at the pipeline's epoch.
     pub fn current_disks(&self) -> u32 {
-        self.current_disks
+        self.current.d as u32
+    }
+
+    /// `D_j = X_j mod N_j`: the disk of a block whose current random
+    /// number is `x`, by one multiply-high against the precomputed
+    /// reciprocal of `N_j` instead of a hardware division. Every cached
+    /// lookup ends here.
+    #[inline(always)]
+    pub fn disk_of(&self, x: u64) -> DiskIndex {
+        DiskIndex(self.current.rem(x) as u32)
     }
 
     /// Applies compiled step `i` (i.e. `REMAP_{i+1}`) to `x`, returning
@@ -333,17 +345,14 @@ impl RemapPipeline {
     /// `AF()` against the compiled log: `D_j = fold(x0) mod N_j`.
     #[inline]
     pub fn locate(&self, x0: u64) -> DiskIndex {
-        DiskIndex((self.fold(x0) % u64::from(self.current_disks.max(1))) as u32)
+        self.disk_of(self.fold(x0))
     }
 
     /// Bulk `AF()`: batch-folds every `x0` and reduces mod `N_j`.
     pub fn locate_batch(&self, x0s: &[u64]) -> Vec<DiskIndex> {
         let mut xs = x0s.to_vec();
         self.fold_batch(&mut xs);
-        let disks = u64::from(self.current_disks.max(1));
-        xs.into_iter()
-            .map(|x| DiskIndex((x % disks) as u32))
-            .collect()
+        xs.into_iter().map(|x| self.disk_of(x)).collect()
     }
 
     /// Bulk `AF()` across `threads` scoped worker threads, each batch-
@@ -356,14 +365,13 @@ impl RemapPipeline {
         }
         let mut out = vec![DiskIndex(0); x0s.len()];
         let chunk = x0s.len().div_ceil(threads);
-        let disks = u64::from(self.current_disks.max(1));
         crossbeam::scope(|scope| {
             for (xs, outs) in x0s.chunks(chunk).zip(out.chunks_mut(chunk)) {
                 scope.spawn(move |_| {
                     let mut buf = xs.to_vec();
                     self.fold_batch(&mut buf);
-                    for (x, slot) in buf.iter().zip(outs.iter_mut()) {
-                        *slot = DiskIndex((x % disks) as u32);
+                    for (&x, slot) in buf.iter().zip(outs.iter_mut()) {
+                        *slot = self.disk_of(x);
                     }
                 });
             }
@@ -410,6 +418,26 @@ mod tests {
             for &x in &xs {
                 assert_eq!(m.divmod(x), (x / d, x % d), "x={x} d={d}");
                 assert_eq!(m.rem(x), x % d, "x={x} d={d}");
+            }
+        }
+    }
+
+    #[test]
+    fn disk_of_equals_hardware_mod() {
+        // Edge values around each N, plus a SplitMix64-style spread of
+        // full-range x; N = 1 takes the trivial branch, u32::MAX the
+        // largest reciprocal a disk count can need.
+        for n in [1u32, 2, 3, 7, u32::MAX] {
+            let n64 = u64::from(n);
+            let pipe = RemapPipeline::compile(&ScalingLog::new(n).unwrap());
+            let mut z = u64::from(n);
+            let spread = (0..1_000).map(|_| {
+                z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let x = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x ^ (x >> 31)
+            });
+            for x in [0, n64 - 1, n64, u64::MAX].into_iter().chain(spread) {
+                assert_eq!(pipe.disk_of(x), DiskIndex((x % n64) as u32), "x={x} N={n}");
             }
         }
     }

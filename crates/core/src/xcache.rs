@@ -6,7 +6,8 @@
 //! exactly one `REMAP` per scaling operation, so a server that stores
 //! each block's current `X_j` next to the catalog only ever pays:
 //!
-//! * **lookup** — one `mod` (the stored `X_j` is already current);
+//! * **lookup** — one `mod`, a multiply-high by the reciprocal of `N_j`
+//!   ([`RemapPipeline::disk_of`]; the stored `X_j` is already current);
 //! * **scaling** — one strength-reduced `REMAP_j` per block
 //!   ([`XCache::advance_one`]): a single pass that rewrites each cached
 //!   `X_{j-1}` to `X_j` in place and, from the same `divmod`, emits the
@@ -80,11 +81,6 @@ impl XCache {
     /// The cached `X_e` values of one object, in block order.
     pub fn xs(&self, id: ObjectId) -> Option<&[u64]> {
         self.xs.get(&id).map(Vec::as_slice)
-    }
-
-    /// The cached `X_e` of one block.
-    pub fn x(&self, id: ObjectId, block: u64) -> Option<u64> {
-        self.xs.get(&id)?.get(block as usize).copied()
     }
 
     /// Admits a newly registered object: its `X_0` stream folded to the
@@ -209,8 +205,8 @@ mod tests {
                 let seq = catalog.randoms(obj);
                 for block in (0..obj.blocks).step_by(37) {
                     assert_eq!(
-                        cache.x(obj.id, block),
-                        Some(x_at_current_epoch(seq.value_at(block), &log)),
+                        cache.xs(obj.id).unwrap()[block as usize],
+                        x_at_current_epoch(seq.value_at(block), &log),
                         "{} block {block} epoch {}",
                         obj.id,
                         log.epoch()
@@ -242,7 +238,7 @@ mod tests {
         assert_eq!(cached, oracle, "epoch 0 cache is the X_0 stream, in order");
         cache.remove_object(id);
         assert_eq!(cache.blocks_with_x(&catalog).count(), 700);
-        assert_eq!(cache.x(id, 0), None);
+        assert_eq!(cache.xs(id), None);
     }
 
     #[test]

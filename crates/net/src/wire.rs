@@ -509,9 +509,7 @@ impl Frame {
             Frame::LocateBatch { object, blocks } => {
                 put_u64(buf, *object);
                 put_u32(buf, blocks.len() as u32);
-                for b in blocks {
-                    put_u64(buf, *b);
-                }
+                put_u64s(buf, blocks);
             }
             Frame::Scale { op } => match op {
                 ScalingOp::Add { count } => {
@@ -547,9 +545,7 @@ impl Frame {
                 put_u64(buf, *epoch);
                 put_u32(buf, *disks);
                 put_u32(buf, locations.len() as u32);
-                for d in locations {
-                    put_u64(buf, *d);
-                }
+                put_u64s(buf, locations);
             }
             Frame::Scaled {
                 epoch,
@@ -684,6 +680,16 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends `vs` as little-endian `u64`s: one `resize`, then a fill with
+/// no per-element capacity check. The same bytes as `put_u64` per value.
+fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
+    let start = buf.len();
+    buf.resize(start + vs.len() * 8, 0);
+    for (out, v) in buf[start..].chunks_exact_mut(8).zip(vs) {
+        out.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
@@ -765,6 +771,16 @@ impl<'a> Payload<'a> {
         Ok(u64::from_le_bytes(
             self.take(8, field)?.try_into().expect("8 bytes"),
         ))
+    }
+
+    /// `n` little-endian `u64`s from one `take`. Callers validate `n`
+    /// with [`Payload::count`] first, so `n * 8` cannot overflow.
+    fn u64s(&mut self, n: usize, field: &'static str) -> Result<Vec<u64>, FrameError> {
+        Ok(self
+            .take(n * 8, field)?
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+            .collect())
     }
 
     /// A `u32` count whose elements occupy `elem_len` bytes each; the
@@ -946,11 +962,10 @@ fn decode_payload(
         TAG_LOCATE_BATCH => {
             let object = p.u64("object")?;
             let n = p.count(8, "blocks.len")?;
-            let mut blocks = Vec::with_capacity(n);
-            for _ in 0..n {
-                blocks.push(p.u64("blocks[]")?);
+            Frame::LocateBatch {
+                object,
+                blocks: p.u64s(n, "blocks[]")?,
             }
-            Frame::LocateBatch { object, blocks }
         }
         TAG_SCALE => {
             let kind = p.u8("op.kind")?;
@@ -1009,14 +1024,10 @@ fn decode_payload(
             let epoch = p.u64("epoch")?;
             let disks = p.u32("disks")?;
             let n = p.count(8, "locations.len")?;
-            let mut locations = Vec::with_capacity(n);
-            for _ in 0..n {
-                locations.push(p.u64("locations[]")?);
-            }
             Frame::BatchLocated {
                 epoch,
                 disks,
-                locations,
+                locations: p.u64s(n, "locations[]")?,
             }
         }
         TAG_SCALED => Frame::Scaled {
@@ -1516,6 +1527,65 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn bulk_u64_arrays_match_golden_per_element_bytes() {
+        // The frame layout spelled out field by field, one `u64` at a
+        // time: what the bulk encoder must reproduce byte for byte.
+        fn golden(tag: u8, head: &[&[u8]], values: &[u64]) -> Vec<u8> {
+            let mut payload = vec![PROTOCOL_VERSION, tag];
+            for field in head {
+                payload.extend_from_slice(field);
+            }
+            payload.extend_from_slice(&(values.len() as u32).to_le_bytes());
+            for v in values {
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+            let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&payload);
+            bytes
+        }
+        for n in [0usize, 1, 64] {
+            let values: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::MAX * (i & 1)))
+                .collect();
+            let request = Frame::LocateBatch {
+                object: 0x0102_0304_0506_0708,
+                blocks: values.clone(),
+            };
+            let reply = Frame::BatchLocated {
+                epoch: 9,
+                disks: 7,
+                locations: values.clone(),
+            };
+            let cases = [
+                (
+                    request,
+                    golden(
+                        TAG_LOCATE_BATCH,
+                        &[&0x0102_0304_0506_0708u64.to_le_bytes()],
+                        &values,
+                    ),
+                ),
+                (
+                    reply,
+                    golden(
+                        TAG_BATCH_LOCATED,
+                        &[&9u64.to_le_bytes(), &7u32.to_le_bytes()],
+                        &values,
+                    ),
+                ),
+            ];
+            for (frame, expect) in cases {
+                // Encoding appends: bytes already in the buffer stay.
+                let mut buf = vec![0xEE];
+                assert_eq!(frame.encode(&mut buf), expect.len(), "{n} elements");
+                assert_eq!(buf[0], 0xEE);
+                assert_eq!(buf[1..], expect[..], "{n} elements: {frame:?}");
+                assert_eq!(decode_frame(&expect), Ok((frame, expect.len())));
+            }
+        }
     }
 
     #[test]
