@@ -16,16 +16,21 @@
 use crate::strategy::{BlockKey, PlacementStrategy};
 use scaddar_core::{RemovedSet, ScalingError, ScalingOp};
 
-/// Lamping & Veach's algorithm, verbatim (the constant is theirs).
+/// Lamping & Veach's algorithm, verbatim: their LCG constant and their
+/// expression order `(b + 1) * (2^31 / ((key >> 33) + 1))`. Growing from
+/// `n` to `n + 1` buckets re-routes only an expected `1/(n + 1)` of keys,
+/// all into the *new* bucket. O(ln n) expected time, zero state; the
+/// cluster layer routes objects to shards with it too.
+///
+/// Panics on `buckets == 0` (an empty cluster routes nothing).
 pub fn jump_consistent_hash(mut key: u64, buckets: u32) -> u32 {
-    assert!(buckets > 0);
+    assert!(buckets > 0, "jump hash over zero buckets");
     let mut b: i64 = -1;
     let mut j: i64 = 0;
     while j < i64::from(buckets) {
         b = j;
         key = key.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
-        let r = ((key >> 33).wrapping_add(1)) as f64;
-        j = (((b.wrapping_add(1)) as f64) * ((1u64 << 31) as f64) / r) as i64;
+        j = ((b + 1) as f64 * ((1u64 << 31) as f64 / ((key >> 33) + 1) as f64)) as i64;
     }
     b as u32
 }

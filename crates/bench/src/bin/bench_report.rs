@@ -1,10 +1,10 @@
 //! Condenses the criterion JSON emitted by the `remap`, `access`, and
 //! `obs` benches into machine-readable reports at the repo root:
 //!
-//! * `BENCH_remap.json` — raw ns-per-iteration plus the headline
-//!   speedup ratios of the bulk location engine (pipeline fold vs
-//!   record fold, parallel vs serial planning, cached vs oracle
-//!   lookup);
+//! * `BENCH_remap.json` — the `remap` and `access` benches' raw
+//!   ns-per-iteration plus the headline speedup ratios of the bulk
+//!   location engine (pipeline fold vs record fold, parallel vs serial
+//!   planning, cached vs oracle lookup);
 //! * `BENCH_obs.json` (when the `obs` bench has run) — the telemetry
 //!   overhead ratios (instrumented / bare), with a `within_gate`
 //!   verdict per hot path keyed to the CI 1.10 acceptance gate on the
@@ -121,6 +121,28 @@ fn load_measurements(dirs: &[std::path::PathBuf]) -> BTreeMap<String, Measuremen
     all
 }
 
+/// Group prefixes of the `remap` and `access` benches: the only rows
+/// `BENCH_remap.json` carries (every other bench has its own report).
+const REMAP_GROUPS: [&str; 5] = ["x_fold/", "remap_primitive/", "rf_plan_", "af_", "x0_"];
+
+/// The body of a report's `"raw"` array: one `{bench, ns_per_iter}` row
+/// per measurement whose key passes `keep`, in key order.
+fn raw_rows(all: &BTreeMap<String, Measurement>, keep: impl Fn(&str) -> bool) -> String {
+    let mut raw = String::new();
+    for (key, m) in all.iter().filter(|(k, _)| keep(k)) {
+        if !raw.is_empty() {
+            raw.push_str(",\n");
+        }
+        write!(
+            raw,
+            "    {{\"bench\": \"{key}\", \"ns_per_iter\": {:.3}}}",
+            m.ns_per_iter
+        )
+        .expect("write to string");
+    }
+    raw
+}
+
 /// `baseline_ns / candidate_ns`: how many times faster the candidate is.
 fn speedup(all: &BTreeMap<String, Measurement>, baseline: &str, candidate: &str) -> Option<f64> {
     let b = all.get(baseline)?.ns_per_iter;
@@ -153,18 +175,7 @@ fn obs_report(all: &BTreeMap<String, Measurement>) -> Option<String> {
         )
         .expect("write to string");
     }
-    let mut raw = String::new();
-    for (key, m) in all.iter().filter(|(k, _)| k.starts_with("obs_")) {
-        if !raw.is_empty() {
-            raw.push_str(",\n");
-        }
-        write!(
-            raw,
-            "    {{\"bench\": \"{key}\", \"ns_per_iter\": {:.3}}}",
-            m.ns_per_iter
-        )
-        .expect("write to string");
-    }
+    let raw = raw_rows(all, |k| k.starts_with("obs_"));
     Some(format!(
         "{{\n  \"overheads\": [\n{overheads}\n  ],\n  \"raw\": [\n{raw}\n  ]\n}}\n"
     ))
@@ -198,18 +209,7 @@ fn monitor_report(all: &BTreeMap<String, Measurement>) -> Option<String> {
         )
         .expect("write to string");
     }
-    let mut raw = String::new();
-    for (key, m) in all.iter().filter(|(k, _)| k.starts_with("monitor_")) {
-        if !raw.is_empty() {
-            raw.push_str(",\n");
-        }
-        write!(
-            raw,
-            "    {{\"bench\": \"{key}\", \"ns_per_iter\": {:.3}}}",
-            m.ns_per_iter
-        )
-        .expect("write to string");
-    }
+    let raw = raw_rows(all, |k| k.starts_with("monitor_"));
     Some(format!(
         "{{\n  \"overheads\": [\n{overheads}\n  ],\n  \"raw\": [\n{raw}\n  ]\n}}\n"
     ))
@@ -235,18 +235,7 @@ fn compact_report(all: &BTreeMap<String, Measurement>) -> Option<String> {
     let hiccups = get("hiccups")?;
     let unknown = get("unknown_objects")?;
     let count = |key: &str| get(key).unwrap_or(0.0);
-    let mut raw = String::new();
-    for (key, m) in all.iter().filter(|(k, _)| k.starts_with("compact/")) {
-        if !raw.is_empty() {
-            raw.push_str(",\n");
-        }
-        write!(
-            raw,
-            "    {{\"bench\": \"{key}\", \"ns_per_iter\": {:.3}}}",
-            m.ns_per_iter
-        )
-        .expect("write to string");
-    }
+    let raw = raw_rows(all, |k| k.starts_with("compact/"));
     Some(format!(
         "{{\n  \"locate_before_ns\": {before:.3},\n\
          \x20 \"locate_after_ns\": {after:.3},\n\
@@ -326,29 +315,13 @@ fn cluster_block(all: &BTreeMap<String, Measurement>) -> Option<String> {
 /// counts, and the instrumented/bare serving overhead ratio with the
 /// ≤1.10 acceptance verdict, plus the raw `net_*` measurements (the
 /// `net` codec/request-path bench rows ride along when present). When
-/// the load run included the threaded reference (`--mode both`), the
-/// event-loop/threaded A/B throughput pair and speedup are included;
-/// when `cluster_smoke` has run, its gates and migration delta ride
+/// `cluster_smoke` has run, its gates and migration delta ride
 /// along as a `"cluster"` object (alone, if the single-node load
 /// harness did not run). `None` when neither has run.
 fn net_report(all: &BTreeMap<String, Measurement>) -> Option<String> {
     let get = |key: &str| Some(all.get(key)?.ns_per_iter);
     let cluster = cluster_block(all);
-    let mut raw = String::new();
-    for (key, m) in all
-        .iter()
-        .filter(|(k, _)| k.starts_with("net_") || k.starts_with("cluster/"))
-    {
-        if !raw.is_empty() {
-            raw.push_str(",\n");
-        }
-        write!(
-            raw,
-            "    {{\"bench\": \"{key}\", \"ns_per_iter\": {:.3}}}",
-            m.ns_per_iter
-        )
-        .expect("write to string");
-    }
+    let raw = raw_rows(all, |k| k.starts_with("net_") || k.starts_with("cluster/"));
     let load = get("net_load/locate_p50")
         .and_then(|p50| {
             Some((
@@ -376,25 +349,12 @@ fn net_report(all: &BTreeMap<String, Measurement>) -> Option<String> {
     }
     let ratio = inst / bare;
     let count = |key: &str| get(key).unwrap_or(0.0);
-    // A/B block: present only when the load run included the threaded
-    // reference (`--mode both`), so event-loop-only runs still report.
-    let ab = get("net_load_threaded/throughput_rps")
-        .filter(|&t| t > 0.0)
-        .map(|threaded| {
-            format!(
-                "  \"threaded_throughput_rps\": {threaded:.1},\n\
-                 \x20 \"event_loop_speedup\": {:.3},\n",
-                count("net_load/throughput_rps") / threaded
-            )
-        })
-        .unwrap_or_default();
     let cluster = cluster.unwrap_or_default();
     Some(format!(
         "{{\n  \"locate_latency_ns\": {{\"p50\": {p50:.0}, \"p95\": {p95:.0}, \"p99\": {p99:.0}, \"p999\": {p999:.0}}},\n\
          \x20 \"batch_p99_ns\": {:.0},\n\
          \x20 \"pipelined_p999_ns\": {:.0},\n\
          \x20 \"throughput_rps\": {:.1},\n\
-         {ab}\
          {cluster}\
          \x20 \"requests\": {:.0},\n\
          \x20 \"errors\": {:.0},\n\
@@ -467,18 +427,7 @@ fn main() {
         );
     }
 
-    let mut raw = String::new();
-    for (key, m) in &all {
-        if !raw.is_empty() {
-            raw.push_str(",\n");
-        }
-        write!(
-            raw,
-            "    {{\"bench\": \"{key}\", \"ns_per_iter\": {:.3}}}",
-            m.ns_per_iter
-        )
-        .expect("write to string");
-    }
+    let raw = raw_rows(&all, |k| REMAP_GROUPS.iter().any(|g| k.starts_with(g)));
 
     let report = format!(
         "{{\n  \"threads\": {threads},\n  \"speedups\": [\n{speedups}\n  ],\n  \"raw\": [\n{raw}\n  ]\n}}\n"
@@ -617,6 +566,33 @@ mod tests {
     }
 
     #[test]
+    fn remap_raw_keeps_only_remap_and_access_rows() {
+        let mut all = BTreeMap::new();
+        for key in [
+            "x_fold/pipeline/8",
+            "remap_primitive/add",
+            "rf_plan_1m_blocks/serial",
+            "af_locate_vs_epoch/4",
+            "x0_indexed_access/1000",
+            "obs_locate_overhead/bare",
+            "monitor_primitives/observe_census",
+            "net_load/locate_p50",
+            "compact/hiccups",
+            "cluster/map_version",
+        ] {
+            all.insert(key.to_string(), Measurement { ns_per_iter: 1.0 });
+        }
+        let raw = raw_rows(&all, |k| REMAP_GROUPS.iter().any(|g| k.starts_with(g)));
+        assert_eq!(raw.lines().count(), 5, "{raw}");
+        for other in ["obs_", "monitor_", "net_", "compact/", "cluster/"] {
+            assert!(
+                !raw.contains(other),
+                "{other} row leaked into BENCH_remap: {raw}"
+            );
+        }
+    }
+
+    #[test]
     fn net_report_carries_percentiles_and_gate_fields() {
         let mut all = BTreeMap::new();
         for (key, ns) in [
@@ -627,7 +603,6 @@ mod tests {
             ("net_load/batch_p99", 120_000.0),
             ("net_load/pipelined_p999", 95_000.0),
             ("net_load/throughput_rps", 410_000.0),
-            ("net_load_threaded/throughput_rps", 205_000.0),
             ("net_load/requests", 4_800.0),
             ("net_load/errors", 0.0),
             ("net_load/protocol_errors", 0.0),
@@ -647,14 +622,7 @@ mod tests {
         assert!(report.contains("\"ratio\": 1.0500"));
         assert!(report.contains("\"within_10pct\": true"));
         assert!(report.contains("\"pipelined_p999_ns\": 95000"));
-        assert!(report.contains("\"threaded_throughput_rps\": 205000.0"));
-        assert!(report.contains("\"event_loop_speedup\": 2.000"));
         assert!(report.contains("net_codec/decode_locate"));
-
-        // The A/B block is optional: an event-loop-only run still reports.
-        all.remove("net_load_threaded/throughput_rps");
-        let solo = net_report(&all).expect("event-loop-only run still reports");
-        assert!(!solo.contains("event_loop_speedup"));
 
         all.remove("net_locate_overhead/bare");
         assert!(net_report(&all).is_none(), "no load run, nothing written");

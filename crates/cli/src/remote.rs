@@ -20,8 +20,7 @@ use scaddar_cluster::FleetAggregator;
 use scaddar_core::ScalingOp;
 use scaddar_monitor::Severity;
 use scaddar_net::{
-    fetch_map, ClusterMap, NetClient, NetServerConfig, Scaddard, ServerMode, ShardRuntime,
-    StatsFormat,
+    fetch_map, ClusterMap, NetClient, NetServerConfig, Scaddard, ShardRuntime, StatsFormat,
 };
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
 use std::fmt::Write as _;
@@ -51,11 +50,7 @@ pub struct ServeArgs {
     pub seed: u64,
     /// Connection cap handed to the daemon.
     pub max_connections: usize,
-    /// Serving core: the epoll/poll reactor (default) or the
-    /// thread-per-connection reference implementation.
-    pub mode: ServerMode,
-    /// Reactor worker threads; 0 = one per core. Ignored by
-    /// `--threaded`.
+    /// Reactor worker threads; 0 = one per core.
     pub workers: usize,
     /// Boot, evaluate health, exit with the verdict instead of serving.
     pub check: bool,
@@ -79,7 +74,6 @@ impl Default for ServeArgs {
             blocks: 100_000,
             seed: 0,
             max_connections: NetServerConfig::default().max_connections,
-            mode: ServerMode::EventLoop,
             workers: 0,
             check: false,
             auto_compact: None,
@@ -90,8 +84,8 @@ impl Default for ServeArgs {
 }
 
 const SERVE_USAGE: &str = "serve [--addr HOST:PORT] [--disks N] [--blocks N] [--seed N] \
-                           [--max-conns N] [--event-loop | --threaded] [--workers N] [--check] \
-                           [--auto-compact N] [--shard ID [--peers ID=HOST:PORT,...]]";
+                           [--max-conns N] [--workers N] [--check] [--auto-compact N] \
+                           [--shard ID [--peers ID=HOST:PORT,...]]";
 
 /// Parses `serve` argv (everything after the subcommand word).
 pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
@@ -118,8 +112,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
                     .parse()
                     .map_err(|_| bad("--max-conns"))?;
             }
-            "--event-loop" => parsed.mode = ServerMode::EventLoop,
-            "--threaded" => parsed.mode = ServerMode::Threaded,
             "--workers" => {
                 parsed.workers = value("--workers")?.parse().map_err(|_| bad("--workers"))?;
             }
@@ -203,8 +195,7 @@ pub fn boot_daemon(args: &ServeArgs) -> Result<(Scaddard, Option<Arc<ShardRuntim
         max_connections: args.max_connections,
         workers: args.workers,
         ..NetServerConfig::default()
-    }
-    .with_mode(args.mode);
+    };
     let shared = Arc::new(SharedServer::new(server));
     let Some(id) = args.shard else {
         let daemon = Scaddard::bind(args.addr.as_str(), shared, config, &registry, tracer)
@@ -618,7 +609,6 @@ mod tests {
             "9",
             "--max-conns",
             "32",
-            "--threaded",
             "--workers",
             "3",
             "--check",
@@ -629,14 +619,15 @@ mod tests {
         assert_eq!(parsed.addr, "127.0.0.1:0");
         assert_eq!((parsed.disks, parsed.blocks, parsed.seed), (6, 5000, 9));
         assert_eq!(parsed.max_connections, 32);
-        assert_eq!(parsed.mode, ServerMode::Threaded);
         assert_eq!(parsed.workers, 3);
         assert!(parsed.check);
         assert_eq!(parsed.auto_compact, Some(2));
-        assert_eq!(
-            parse_serve_args(&args(&["--event-loop"])).unwrap().mode,
-            ServerMode::EventLoop
-        );
+        // The event loop is the only serving core, so no core switch is
+        // accepted.
+        for removed in ["--threaded", "--event-loop"] {
+            let err = parse_serve_args(&args(&[removed])).unwrap_err();
+            assert!(err.starts_with("unknown argument"), "{removed}: {err}");
+        }
         assert_eq!(parse_serve_args(&[]).unwrap().auto_compact, None);
         assert!(parse_serve_args(&args(&["--disks", "0"])).is_err());
         assert!(parse_serve_args(&args(&["--disks"])).is_err());

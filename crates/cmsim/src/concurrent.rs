@@ -133,21 +133,10 @@ impl SharedServer {
     /// shared lock acquisition, so the whole batch is served at a single
     /// epoch — a session thread prefetching a playback window can never
     /// observe a scaling operation ripping through the middle of its
-    /// batch. Returns the epoch alongside the physical disks.
-    pub fn locate_batch(
-        &self,
-        object: ObjectId,
-        blocks: &[u64],
-    ) -> Result<(usize, Vec<PhysicalDiskId>), ServerError> {
-        let guard = self.inner.read();
-        let disks = guard.locate_batch(object, blocks)?;
-        Ok((guard.engine().epoch(), disks))
-    }
-
-    /// [`locate_batch`](Self::locate_batch) with the disk count read
-    /// under the *same* shared lock acquisition: the full epoch-tagged
-    /// triple a serving layer needs to answer a batch request without a
-    /// second (potentially torn) `epoch_view` round-trip.
+    /// batch. The epoch and disk count are read under the *same*
+    /// acquisition: the full epoch-tagged triple a serving layer needs
+    /// to answer a batch request without a second (potentially torn)
+    /// `epoch_view` round-trip.
     pub fn locate_batch_read(
         &self,
         object: ObjectId,
@@ -170,19 +159,15 @@ impl SharedServer {
     /// [`locate_batch_read`](Self::locate_batch_read). Compared to one
     /// lock round-trip per frame this is the difference between `n`
     /// atomic RMWs on the lock word per wakeup and two.
-    pub fn locate_coalesced(&self, queries: &[LocateQuery<'_>]) -> CoalescedRead {
-        self.locate_coalesced_with(queries, || {})
-    }
-
-    /// [`locate_coalesced`](Self::locate_coalesced) with a hook fired
-    /// the moment the shared lock is *acquired* — before any query is
-    /// answered. This is the instrumentation seam the serving layer's
-    /// latency anatomy uses to split "engine read-lock wait" from
-    /// "engine execute" without `SharedServer` depending on any clock:
-    /// the caller timestamps around the call and inside the hook, and
-    /// the cooperative profiler flips its state word from `lock-wait`
-    /// to `engine` in the hook.
-    pub fn locate_coalesced_with(
+    ///
+    /// `on_locked` fires the moment the shared lock is *acquired* —
+    /// before any query is answered (pass `|| {}` for none). This is the
+    /// instrumentation seam the serving layer's latency anatomy uses to
+    /// split "engine read-lock wait" from "engine execute" without
+    /// `SharedServer` depending on any clock: the caller timestamps
+    /// around the call and inside the hook, and the cooperative profiler
+    /// flips its state word from `lock-wait` to `engine` in the hook.
+    pub fn locate_coalesced(
         &self,
         queries: &[LocateQuery<'_>],
         on_locked: impl FnOnce(),
@@ -359,14 +344,12 @@ mod tests {
                 let window = &window;
                 scope.spawn(move |_| {
                     while !stop.load(Ordering::Relaxed) {
-                        let (epoch, disks) =
-                            shared.locate_batch(object, window).expect("batch lookup");
+                        let first = shared.locate_batch_read(object, window).expect("batch");
                         // Single-epoch guarantee: re-locating the same
                         // window at the same epoch must agree entirely.
-                        let (epoch2, disks2) =
-                            shared.locate_batch(object, window).expect("batch lookup");
-                        if epoch == epoch2 {
-                            assert_eq!(disks, disks2, "torn batch at epoch {epoch}");
+                        let second = shared.locate_batch_read(object, window).expect("batch");
+                        if first.epoch == second.epoch {
+                            assert_eq!(first, second, "torn batch at epoch {}", first.epoch);
                         }
                         total_batches.fetch_add(1, Ordering::Relaxed);
                     }
@@ -415,7 +398,7 @@ mod tests {
                 block: 2_000,
             },
         ];
-        let read = shared.locate_coalesced(&queries);
+        let read = shared.locate_coalesced(&queries, || {});
         assert_eq!((read.epoch, read.disks), shared.epoch_view());
         assert_eq!(read.answers.len(), queries.len());
 
@@ -454,7 +437,7 @@ mod tests {
                                 blocks: window,
                             },
                         ];
-                        let read = shared.locate_coalesced(&queries);
+                        let read = shared.locate_coalesced(&queries, || {});
                         // Epochs imply disk counts 4..=7 in this test;
                         // a torn coalesced read would break the pairing
                         // or place a block outside the epoch's array.
@@ -496,12 +479,12 @@ mod tests {
         let shared = SharedServer::new(server);
         let fired = AtomicU64::new(0);
         let queries = [LocateQuery::One { object, block: 5 }];
-        let read = shared.locate_coalesced_with(&queries, || {
+        let read = shared.locate_coalesced(&queries, || {
             fired.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(fired.load(Ordering::Relaxed), 1, "hook fires exactly once");
-        // The hooked variant answers identically to the plain one.
-        let plain = shared.locate_coalesced(&queries);
+        // A hooked call answers identically to a hook-less one.
+        let plain = shared.locate_coalesced(&queries, || {});
         assert_eq!((read.epoch, read.disks), (plain.epoch, plain.disks));
         assert_eq!(read.answers, plain.answers);
     }

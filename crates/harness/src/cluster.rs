@@ -53,7 +53,7 @@ pub enum ClusterMutation {
 
 /// Independent copy of the jump-consistent-hash bucket function,
 /// written from the paper's equations (loop-and-advance form, distinct
-/// from `scaddar_net::jump_hash`'s while-guard form). Same LCG
+/// from `scaddar_baselines::jump_consistent_hash`'s while-guard form). Same LCG
 /// constant, same floating-point expression, so a faithful
 /// implementation agrees bit-for-bit.
 fn owning_bucket(object: u64, buckets: u32) -> u32 {
@@ -1006,7 +1006,7 @@ mod tests {
             for key in (0..2_000u64).chain([u64::MAX, u64::MAX / 2]) {
                 assert_eq!(
                     owning_bucket(key, n),
-                    scaddar_net::jump_hash(key, n),
+                    scaddar_baselines::jump_consistent_hash(key, n),
                     "key {key} buckets {n}"
                 );
             }

@@ -4,17 +4,16 @@
 //! protocol errors, zero epoch-consistency violations, scaling observed
 //! mid-traffic — and that the engine behind the socket still satisfies
 //! the in-process invariants the harness pins down (residency
-//! consistent, zero stream hiccups). Runs once per serving core: the
-//! event-loop reactor (the default) and the thread-per-connection
-//! reference. CI's `net-smoke` job runs the release-mode cousin of this
-//! via `scaddard-load --mode both`.
+//! consistent, zero stream hiccups). Runs with the default per-core
+//! workers and with a single worker. CI's `net-smoke` job runs the
+//! release-mode cousin of this via `scaddard-load`.
 
 use cmsim::{CmServer, ServerConfig, SharedServer};
-use scaddar_net::{LoadConfig, NetServerConfig, Scaddard, ServerMode};
+use scaddar_net::{LoadConfig, NetServerConfig, Scaddard};
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
 use std::sync::Arc;
 
-fn smoke(mode: ServerMode) {
+fn smoke(workers: usize) {
     let mut server = CmServer::new(ServerConfig::new(4).with_catalog_seed(0x5E6E)).unwrap();
     server.add_object(10_000).unwrap();
     let shared = Arc::new(SharedServer::new(server));
@@ -23,7 +22,10 @@ fn smoke(mode: ServerMode) {
     let daemon = Scaddard::bind(
         "127.0.0.1:0",
         Arc::clone(&shared),
-        NetServerConfig::default().with_mode(mode),
+        NetServerConfig {
+            workers,
+            ..NetServerConfig::default()
+        },
         &registry,
         tracer,
     )
@@ -80,10 +82,12 @@ fn smoke(mode: ServerMode) {
 
 #[test]
 fn seeded_loopback_load_is_clean_and_preserves_engine_invariants() {
-    smoke(ServerMode::EventLoop);
+    smoke(0);
 }
 
+/// One worker puts every connection in one coalescing wave, which the
+/// default per-core config does not force.
 #[test]
 fn seeded_loopback_load_is_clean_on_the_threaded_reference() {
-    smoke(ServerMode::Threaded);
+    smoke(1);
 }

@@ -2,8 +2,7 @@
 //! serving layer end-to-end, emitting criterion-shim-compatible JSON
 //! that `bench_report` condenses into `BENCH_net.json`.
 //!
-//! Per server mode (`--mode event-loop`, `--mode threaded`, or the
-//! default `--mode both` for the A/B table), three passes:
+//! Three passes:
 //!
 //! 1. **Mixed closed-loop** — the full configuration (per-endpoint
 //!    histograms, spans) under the seeded locate/batch/scale mixture;
@@ -14,26 +13,25 @@
 //!    event loop's cross-connection coalescing something to coalesce;
 //!    this pass supplies the throughput headline and the amortized
 //!    per-request p999.
-//! 3. **Overhead** (primary mode only) — a locate-only closed loop,
-//!    instrumented vs bare; the mean ns-per-request pair feeds the
-//!    instrumented/bare overhead ratio gated at ≤ 1.10 (same
-//!    discipline as BENCH_obs and BENCH_monitor).
+//! 3. **Overhead** — a locate-only closed loop, instrumented vs bare;
+//!    the mean ns-per-request pair feeds the instrumented/bare
+//!    overhead ratio gated at ≤ 1.10 (same discipline as BENCH_obs and
+//!    BENCH_monitor).
 //!
 //! ```text
 //! cargo run --release -p scaddar-net --bin scaddard-load -- \
-//!     [--mode event-loop|threaded|both] [--seed N] [--clients N] \
-//!     [--requests N] [--scale-ops N] [--window N] [--out PATH]
+//!     [--seed N] [--clients N] [--requests N] [--scale-ops N] \
+//!     [--window N] [--out PATH]
 //! cargo run -p scaddar-bench --bin bench_report
 //! ```
 //!
-//! The event-loop rows keep the historical `net_load/*` names (the
-//! headline); threaded rows land under `net_load_threaded/*` so
-//! `bench_report` can print the A/B speedup.
+//! Passes 1 and 2 land under `net_load/*`, pass 3 under
+//! `net_locate_overhead/*`.
 //!
 //! Exits nonzero on any protocol error or epoch-consistency violation
 //! in any pass, so CI's net-smoke job can gate directly on the run.
 
-use scaddar_net::{LoadConfig, LoadReport, LoopMode, NetServerConfig, Scaddard, ServerMode};
+use scaddar_net::{LoadConfig, LoadReport, LoopMode, NetServerConfig, Scaddard};
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -41,7 +39,7 @@ use std::sync::Arc;
 /// Blocks in the served object for every pass.
 const OBJECT_BLOCKS: u64 = 50_000;
 
-fn boot(mode: ServerMode, instrument: bool) -> Scaddard {
+fn boot(instrument: bool) -> Scaddard {
     let mut server = cmsim::CmServer::new(cmsim::ServerConfig::new(4).with_catalog_seed(0xBEEF))
         .expect("server");
     server.add_object(OBJECT_BLOCKS).expect("object");
@@ -53,8 +51,7 @@ fn boot(mode: ServerMode, instrument: bool) -> Scaddard {
         NetServerConfig {
             instrument,
             ..NetServerConfig::default()
-        }
-        .with_mode(mode),
+        },
         &registry,
         tracer,
     )
@@ -80,28 +77,16 @@ fn push_result(out: &mut String, group: &str, bench: &str, ns: f64, iterations: 
     .expect("write to string");
 }
 
-fn mode_label(mode: ServerMode) -> &'static str {
-    match mode {
-        ServerMode::EventLoop => "event-loop",
-        ServerMode::Threaded => "threaded",
-    }
-}
-
-struct ModeMeasurement {
-    mixed: LoadReport,
-    pipelined: LoadReport,
-}
-
-/// Passes 1 and 2 for one server mode.
-fn measure_mode(
-    mode: ServerMode,
+/// Passes 1 and 2: the mixed closed loop and the pipelined throughput
+/// run, each against a freshly booted daemon.
+fn measure(
     seed: u64,
     clients: usize,
     requests: u64,
     scale_ops: u32,
     window: usize,
-) -> ModeMeasurement {
-    let daemon = boot(mode, true);
+) -> (LoadReport, LoadReport) {
+    let daemon = boot(true);
     let mixed = scaddar_net::run_load(
         daemon.local_addr(),
         &LoadConfig {
@@ -115,9 +100,8 @@ fn measure_mode(
     );
     daemon.shutdown();
     println!(
-        "{} mixed: {} requests in {:?} ({:.0} rps), locate p50/p95/p99/p999 = {}/{}/{}/{} ns, \
+        "mixed: {} requests in {:?} ({:.0} rps), locate p50/p95/p99/p999 = {}/{}/{}/{} ns, \
          epochs {}, errors {}, protocol errors {}, torn reads {}",
-        mode_label(mode),
         mixed.requests,
         mixed.elapsed,
         mixed.throughput_rps,
@@ -134,7 +118,7 @@ fn measure_mode(
     // Throughput pass: pipelined windows, locate-heavy (one batch per
     // 32 requests keeps the mixture honest without letting batch
     // payloads dominate the byte counts).
-    let daemon = boot(mode, true);
+    let daemon = boot(true);
     let pipelined = scaddar_net::run_load(
         daemon.local_addr(),
         &LoadConfig {
@@ -150,9 +134,8 @@ fn measure_mode(
     );
     daemon.shutdown();
     println!(
-        "{} pipelined (window {window}): {} requests in {:?} ({:.0} rps), amortized locate \
+        "pipelined (window {window}): {} requests in {:?} ({:.0} rps), amortized locate \
          p50/p999 = {}/{} ns, errors {}, protocol errors {}, torn reads {}",
-        mode_label(mode),
         pipelined.requests,
         pipelined.elapsed,
         pipelined.throughput_rps,
@@ -162,7 +145,7 @@ fn measure_mode(
         pipelined.protocol_errors,
         pipelined.consistency_violations,
     );
-    ModeMeasurement { mixed, pipelined }
+    (mixed, pipelined)
 }
 
 fn clean(report: &LoadReport) -> bool {
@@ -175,7 +158,6 @@ fn main() {
     let mut requests = 600u64;
     let mut scale_ops = 2u32;
     let mut window = 64usize;
-    let mut modes: Vec<ServerMode> = vec![ServerMode::EventLoop, ServerMode::Threaded];
     // Its own stem (not `net.json`, which the codec bench owns):
     // `bench_report` reads one file per stem.
     let mut out_path = "target/criterion-json/net_load.json".to_string();
@@ -191,20 +173,12 @@ fn main() {
             "--requests" => requests = value("--requests").parse().expect("numeric --requests"),
             "--scale-ops" => scale_ops = value("--scale-ops").parse().expect("numeric --scale-ops"),
             "--window" => window = value("--window").parse().expect("numeric --window"),
-            "--mode" => {
-                modes = match value("--mode").as_str() {
-                    "event-loop" => vec![ServerMode::EventLoop],
-                    "threaded" => vec![ServerMode::Threaded],
-                    "both" => vec![ServerMode::EventLoop, ServerMode::Threaded],
-                    other => panic!("--mode must be event-loop, threaded, or both (got {other})"),
-                }
-            }
             "--out" => out_path = value("--out"),
             other => {
                 eprintln!(
                     "unknown argument `{other}`\nusage: scaddard-load \
-                     [--mode event-loop|threaded|both] [--seed N] [--clients N] [--requests N] \
-                     [--scale-ops N] [--window N] [--out PATH]"
+                     [--seed N] [--clients N] [--requests N] [--scale-ops N] [--window N] \
+                     [--out PATH]"
                 );
                 std::process::exit(2);
             }
@@ -212,51 +186,40 @@ fn main() {
     }
 
     let mut results = String::new();
-    let mut all_clean = true;
-    let primary_mode = modes[0];
-    for &mode in &modes {
-        let m = measure_mode(mode, seed, clients, requests, scale_ops, window);
-        all_clean &= clean(&m.mixed) && clean(&m.pipelined);
-        // Event-loop rows keep the historical headline names; the
-        // threaded reference gets its own group for the A/B speedup.
-        let group = match mode {
-            ServerMode::EventLoop => "net_load",
-            ServerMode::Threaded => "net_load_threaded",
-        };
-        for (bench, ns) in [
-            ("locate_p50", m.mixed.locate.p50 as f64),
-            ("locate_p95", m.mixed.locate.p95 as f64),
-            ("locate_p99", m.mixed.locate.p99 as f64),
-            ("locate_p999", m.mixed.locate.p999 as f64),
-            ("batch_p99", m.mixed.locate_batch.p99 as f64),
-            ("pipelined_p50", m.pipelined.locate.p50 as f64),
-            ("pipelined_p999", m.pipelined.locate.p999 as f64),
-        ] {
-            push_result(&mut results, group, bench, ns, m.mixed.requests);
-        }
-        // Non-latency facts ride in `ns_per_iter` too: the shim format
-        // has one numeric field, and bench_report copies it through
-        // verbatim.
-        for (bench, v) in [
-            ("throughput_rps", m.pipelined.throughput_rps),
-            ("closed_loop_rps", m.mixed.throughput_rps),
-            ("requests", (m.mixed.requests + m.pipelined.requests) as f64),
-            ("errors", (m.mixed.errors + m.pipelined.errors) as f64),
-            (
-                "protocol_errors",
-                (m.mixed.protocol_errors + m.pipelined.protocol_errors) as f64,
-            ),
-            (
-                "consistency_violations",
-                (m.mixed.consistency_violations + m.pipelined.consistency_violations) as f64,
-            ),
-            ("epochs_observed", m.mixed.epochs_observed as f64),
-        ] {
-            push_result(&mut results, group, bench, v, 1);
-        }
+    let (mixed, pipelined) = measure(seed, clients, requests, scale_ops, window);
+    let mut all_clean = clean(&mixed) && clean(&pipelined);
+    for (bench, ns) in [
+        ("locate_p50", mixed.locate.p50 as f64),
+        ("locate_p95", mixed.locate.p95 as f64),
+        ("locate_p99", mixed.locate.p99 as f64),
+        ("locate_p999", mixed.locate.p999 as f64),
+        ("batch_p99", mixed.locate_batch.p99 as f64),
+        ("pipelined_p50", pipelined.locate.p50 as f64),
+        ("pipelined_p999", pipelined.locate.p999 as f64),
+    ] {
+        push_result(&mut results, "net_load", bench, ns, mixed.requests);
+    }
+    // Non-latency facts ride in `ns_per_iter` too: the shim format has
+    // one numeric field, and bench_report copies it through verbatim.
+    for (bench, v) in [
+        ("throughput_rps", pipelined.throughput_rps),
+        ("closed_loop_rps", mixed.throughput_rps),
+        ("requests", (mixed.requests + pipelined.requests) as f64),
+        ("errors", (mixed.errors + pipelined.errors) as f64),
+        (
+            "protocol_errors",
+            (mixed.protocol_errors + pipelined.protocol_errors) as f64,
+        ),
+        (
+            "consistency_violations",
+            (mixed.consistency_violations + pipelined.consistency_violations) as f64,
+        ),
+        ("epochs_observed", mixed.epochs_observed as f64),
+    ] {
+        push_result(&mut results, "net_load", bench, v, 1);
     }
 
-    // Overhead pass (primary mode): locate-only closed loop,
+    // Overhead pass: locate-only closed loop,
     // instrumented vs bare. Same seed, same shape, only `instrument`
     // differs. Loopback round-trips are scheduler-noisy, so each
     // configuration runs three alternating passes and keeps its
@@ -274,10 +237,10 @@ fn main() {
     let mut bare_runs = Vec::new();
     let mut inst_runs = Vec::new();
     for _ in 0..3 {
-        let daemon = boot(primary_mode, false);
+        let daemon = boot(false);
         bare_runs.push(scaddar_net::run_load(daemon.local_addr(), &overhead_config));
         daemon.shutdown();
-        let daemon = boot(primary_mode, true);
+        let daemon = boot(true);
         inst_runs.push(scaddar_net::run_load(daemon.local_addr(), &overhead_config));
         daemon.shutdown();
     }
@@ -289,9 +252,8 @@ fn main() {
     let (bare_ns, inst_ns) = (best(&bare_runs), best(&inst_runs));
     all_clean &= bare_runs.iter().chain(inst_runs.iter()).all(clean);
     println!(
-        "overhead ({}): bare {bare_ns:.0} ns/locate, instrumented {inst_ns:.0} ns/locate \
+        "overhead: bare {bare_ns:.0} ns/locate, instrumented {inst_ns:.0} ns/locate \
          (ratio {:.4})",
-        mode_label(primary_mode),
         if bare_ns > 0.0 {
             inst_ns / bare_ns
         } else {

@@ -45,30 +45,12 @@
 
 use crate::client::{ClientConfig, ClientError, NetClient};
 use crate::wire::Frame;
+use scaddar_baselines::jump_consistent_hash;
 use scaddar_obs::{SpanGuard, TraceContext, Tracer};
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Jump consistent hash (Lamping & Veach, 2014): maps `key` to a bucket
-/// in `0..buckets` with the property that growing from `n` to `n+1`
-/// buckets re-routes only an expected `1/(n+1)` of keys — and those
-/// keys all land in the *new* bucket.
-///
-/// O(ln n) expected time, zero state. Panics on `buckets == 0` (an
-/// empty cluster routes nothing).
-pub fn jump_hash(mut key: u64, buckets: u32) -> u32 {
-    assert!(buckets > 0, "jump_hash over zero buckets");
-    let mut b: i64 = -1;
-    let mut j: i64 = 0;
-    while j < i64::from(buckets) {
-        b = j;
-        key = key.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
-        j = ((b.wrapping_add(1) as f64) * ((1i64 << 31) as f64 / ((key >> 33) + 1) as f64)) as i64;
-    }
-    b as u32
-}
 
 /// The versioned shard topology: who serves, where, and since when.
 ///
@@ -115,7 +97,7 @@ impl ClusterMap {
         if self.shards.is_empty() {
             return None;
         }
-        let idx = jump_hash(object, self.shards.len() as u32) as usize;
+        let idx = jump_consistent_hash(object, self.shards.len() as u32) as usize;
         Some(self.shards[idx].0)
     }
 
@@ -953,8 +935,8 @@ mod tests {
         // either unchanged or exactly n (the new bucket).
         for key in 0..10_000u64 {
             for n in 1..20u32 {
-                let before = jump_hash(key, n);
-                let after = jump_hash(key, n + 1);
+                let before = jump_consistent_hash(key, n);
+                let after = jump_consistent_hash(key, n + 1);
                 assert!(
                     after == before || after == n,
                     "key {key}: {before} -> {after} under {n}->{} buckets",
@@ -970,7 +952,7 @@ mod tests {
         const BUCKETS: u32 = 6;
         let mut counts = [0u64; BUCKETS as usize];
         for key in 0..KEYS {
-            counts[jump_hash(key, BUCKETS) as usize] += 1;
+            counts[jump_consistent_hash(key, BUCKETS) as usize] += 1;
         }
         let expect = KEYS as f64 / BUCKETS as f64;
         for (b, &c) in counts.iter().enumerate() {

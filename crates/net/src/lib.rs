@@ -15,15 +15,13 @@
 //!   [`cmsim::SharedServer`] with a bounded accept policy (max
 //!   connections, per-request read/write deadlines, graceful drain on
 //!   shutdown) and per-endpoint `obs` counters/latency histograms plus
-//!   `net.*` spans. Two cores behind one bind call ([`ServerMode`]):
-//!   the default readiness-based event loop and the thread-per-
-//!   connection reference kept for A/B runs.
+//!   `net.*` spans, served by the event-loop core below.
 //! * [`reactor`] — the event-loop core: nonblocking sockets driven by
 //!   epoll/poll(2) (via the vendored `polling` shim), a slab of
 //!   per-connection states with reusable buffers, cross-connection
 //!   request coalescing into single [`cmsim::SharedServer`] read-lock
 //!   acquisitions, batched writes with graceful EAGAIN handling, and
-//!   the PR 5 deadline/backpressure policy preserved.
+//!   the deadline/backpressure policy of [`server`].
 //! * [`client`] — [`NetClient`]: connection pooling, request
 //!   pipelining, and deadline-aware retry-on-reconnect.
 //! * [`load`] — a deterministic loopback load generator (seeded
@@ -61,13 +59,11 @@ pub mod wire;
 
 pub use client::{ClientConfig, ClientError, CompactionStatus, NetClient};
 pub use cluster::{
-    fetch_map, jump_hash, ClusterAnswer, ClusterBatchAnswer, ClusterClient, ClusterClientStats,
-    ClusterMap, RouteDecision, ShardRuntime,
+    fetch_map, ClusterAnswer, ClusterBatchAnswer, ClusterClient, ClusterClientStats, ClusterMap,
+    RouteDecision, ShardRuntime,
 };
 pub use load::{run_load, LatencySummary, LoadConfig, LoadReport, LoopMode};
-pub use server::{
-    depth_bucket, NetServerConfig, PhaseStats, Scaddard, ServerMode, ENGINE_DEPTH_BUCKETS,
-};
+pub use server::{depth_bucket, NetServerConfig, PhaseStats, Scaddard, ENGINE_DEPTH_BUCKETS};
 pub use wire::{
     decode_frame, decode_frame_limited, ErrorCode, Frame, FrameError, StatsFormat,
     MAX_PROFILE_STATES,

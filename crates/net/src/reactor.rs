@@ -10,8 +10,8 @@
 //! level-triggered), a slab of connection states, and reusable scratch
 //! buffers; a connection lives its whole life on the worker that
 //! admitted it, so no connection state is ever shared or locked.
-//! Workers are optionally pinned to CPUs
-//! ([`pin_workers`](crate::NetServerConfig::pin_workers)).
+//! Worker `i` is pinned to CPU `i mod cores` (Linux only, best effort)
+//! so its connection states stay cache-local.
 //!
 //! ## A wakeup, start to finish
 //!
@@ -21,7 +21,7 @@
 //!    connection's read buffer, and complete frames are decoded in
 //!    place by the re-entrant [`crate::wire`] decoder (partial frames
 //!    stay buffered and re-arm the read deadline — slow-loris clients
-//!    get the PR 5 `read_timeout`, not a thread).
+//!    get the `read_timeout`, not a thread).
 //! 4. **Cross-connection coalescing**: consecutive `Locate` /
 //!    `LocateBatch` frames — across *all* connections woken this round
 //!    — are answered by one [`cmsim::SharedServer::locate_coalesced`]
@@ -40,8 +40,8 @@
 //! 6. Expired read/write deadlines close their connection (with a
 //!    best-effort `Error{BadRequest}` for an overdue request).
 //!
-//! Shutdown mirrors the threaded core: the acceptor stops, each worker
-//! is notified, flushes what it owes (reverting the socket to blocking
+//! Shutdown is a graceful drain: the acceptor stops, each worker is
+//! notified, flushes what it owes (reverting the socket to blocking
 //! writes under `write_timeout`), closes everything, and joins.
 
 use crate::server::{engine_error, handle_request, reply, Shared};
@@ -431,13 +431,7 @@ impl Worker {
                 self.offload(slot, (frame, ctx));
             } else if let Some(conn) = self.conns[slot].as_mut() {
                 self.state.set(ThreadState::Engine);
-                if !handle_request(
-                    frame,
-                    &self.shared,
-                    &mut conn.out,
-                    self.shared.config.instrument,
-                    ctx,
-                ) {
+                if !handle_request(frame, &self.shared, &mut conn.out, ctx) {
                     conn.close_after_flush = true;
                 }
                 self.state.set(ThreadState::Decode);
@@ -469,8 +463,7 @@ impl Worker {
                 // approximation for these short-lived threads.
                 let _op_guard = shared.op_state.enter(ThreadState::Offload);
                 let mut bytes = Vec::new();
-                let keep_open =
-                    handle_request(frame, &shared, &mut bytes, shared.config.instrument, ctx);
+                let keep_open = handle_request(frame, &shared, &mut bytes, ctx);
                 completions
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -487,13 +480,7 @@ impl Worker {
             let conn = self.conns[slot].as_mut().expect("checked above");
             conn.busy = false;
             let (frame, ctx) = fallback;
-            if !handle_request(
-                frame,
-                &self.shared,
-                &mut conn.out,
-                self.shared.config.instrument,
-                ctx,
-            ) {
+            if !handle_request(frame, &self.shared, &mut conn.out, ctx) {
                 conn.close_after_flush = true;
             }
         }
@@ -531,13 +518,7 @@ impl Worker {
                     break;
                 }
                 let conn = self.conns[completion.slot].as_mut().expect("still live");
-                if !handle_request(
-                    frame,
-                    &self.shared,
-                    &mut conn.out,
-                    self.shared.config.instrument,
-                    ctx,
-                ) {
+                if !handle_request(frame, &self.shared, &mut conn.out, ctx) {
                     conn.close_after_flush = true;
                     conn.deferred.clear();
                     break;
@@ -587,7 +568,7 @@ impl Worker {
         let clock = self.shared.tracer.clock();
         state.set(ThreadState::LockWait);
         let mut locked_at = None;
-        let read = self.shared.server.locate_coalesced_with(&queries, || {
+        let read = self.shared.server.locate_coalesced(&queries, || {
             state.set(ThreadState::Engine);
             if wave_sampled {
                 locked_at = Some(clock.now_ns());
@@ -825,8 +806,7 @@ struct WorkerHandle {
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-/// The running event-loop core behind a [`crate::Scaddard`] in
-/// [`crate::ServerMode::EventLoop`].
+/// The running event-loop core behind a [`crate::Scaddard`].
 pub(crate) struct Reactor {
     acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<WorkerHandle>,
@@ -858,13 +838,10 @@ impl Reactor {
                 high_water: shared.config.max_frame_len as usize * 4,
                 state: shared.profiler.register(&format!("scaddard-worker-{i}")),
             };
-            let pin = shared.config.pin_workers;
             let thread = std::thread::Builder::new()
                 .name(format!("scaddard-worker-{i}"))
                 .spawn(move || {
-                    if pin {
-                        let _ = polling::pin_current_thread_to_cpu(i);
-                    }
+                    let _ = polling::pin_current_thread_to_cpu(i);
                     worker.run();
                 })?;
             targets.push((Arc::clone(&poller), injector));
@@ -954,7 +931,6 @@ fn accept_loop(
 }
 
 // Unit tests for the reactor live at the crate's integration level
-// (`tests/reactor_edge.rs`, `tests/loopback_concurrent.rs`) where both
-// server modes are exercised through real sockets; NetStats conformance
-// is additionally covered by the `server` module tests running the
-// same assertions against `ServerMode::EventLoop` (see `server::tests`).
+// (`tests/reactor_edge.rs`, `tests/loopback_concurrent.rs`) where it is
+// exercised through real sockets; NetStats conformance is covered by
+// the `server` module tests (see `server::tests`).

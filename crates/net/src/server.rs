@@ -1,37 +1,33 @@
-//! `scaddard`: the serving daemon, in either of two cores.
+//! `scaddard`: the serving daemon.
 //!
-//! [`ServerMode::EventLoop`] (the default) drives nonblocking sockets
-//! from a few readiness-polled worker threads — see [`crate::reactor`].
-//! [`ServerMode::Threaded`] is the PR 5 reference core kept for A/B
-//! benchmarking and differential testing: one accept thread, one
-//! handler thread per connection. Both share a [`cmsim::SharedServer`]
-//! — reads take its shared lock, `Scale`/`Tick` its exclusive lock, so
-//! the epoch-consistency guarantee the in-process tests pin down holds
-//! unchanged for remote clients in either mode.
+//! Accepted connections are driven by the event-loop core in
+//! [`crate::reactor`]: nonblocking sockets on a few readiness-polled
+//! worker threads, with cross-connection request coalescing. Every
+//! worker shares one [`cmsim::SharedServer`] — reads take its shared
+//! lock, `Scale`/`Tick` its exclusive lock, so the epoch-consistency
+//! guarantee the in-process tests pin down holds unchanged for remote
+//! clients.
 //!
 //! Backpressure and robustness policy:
 //!
 //! * **Bounded accept**: at most
-//!   [`max_connections`](NetServerConfig::max_connections) handler
-//!   threads; a connection over the limit receives one
-//!   `Error{Busy}` frame and is closed (counted in
+//!   [`max_connections`](NetServerConfig::max_connections) registered
+//!   sockets; a connection over the limit receives one `Error{Busy}`
+//!   frame and is closed (counted in
 //!   `net_server_connections_rejected_total`).
 //! * **Per-request deadlines**: once the first byte of a request
 //!   arrives, the rest must arrive within
 //!   [`read_timeout`](NetServerConfig::read_timeout); responses must
 //!   flush within [`write_timeout`](NetServerConfig::write_timeout).
-//!   Idle connections may sit forever (they poll the shutdown flag).
-//! * **Graceful drain**: [`Scaddard::shutdown`] stops the accept loop,
-//!   lets in-flight requests finish, and joins every handler; idle
-//!   handlers notice the flag within one poll tick.
+//!   Idle connections may sit forever.
+//! * **Graceful drain**: [`Scaddard::shutdown`] stops the acceptor,
+//!   lets every worker flush what it owes, and joins them.
 //! * **Hostile input**: an undecodable frame earns a typed
 //!   `Error{Protocol}` reply (best effort) and a close — the decoder
 //!   never panics, so neither does the server.
 
 use crate::cluster::{RouteDecision, ShardRuntime};
-use crate::wire::{
-    decode_frame_traced, ErrorCode, Frame, FrameError, StatsFormat, FRAME_HEADER_LEN,
-};
+use crate::wire::{ErrorCode, Frame, StatsFormat};
 use cmsim::SharedServer;
 use scaddar_compact::CompactionController;
 use scaddar_monitor::{HealthMonitor, MonitorConfig, Severity};
@@ -39,43 +35,19 @@ use scaddar_obs::{
     Counter, Gauge, Histogram, Profiler, Registry, StateHandle, TraceContext, Tracer,
 };
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// How often blocked reads wake to poll the shutdown flag.
-const POLL_TICK: Duration = Duration::from_millis(100);
-
-/// Which serving core drives accepted connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerMode {
-    /// Readiness-based event loop: a sharded acceptor feeding a few
-    /// poller-driven worker threads (epoll on Linux, poll(2) elsewhere)
-    /// with cross-connection request coalescing. The default.
-    #[default]
-    EventLoop,
-    /// One handler thread per connection — the PR 5 reference core,
-    /// kept for A/B benchmarking and differential testing.
-    Threaded,
-}
+use std::time::Duration;
 
 /// Tuning knobs for [`Scaddard`].
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Serving core; see [`ServerMode`].
-    pub mode: ServerMode,
     /// Event-loop worker threads; `0` means one per available core.
-    /// Ignored in [`ServerMode::Threaded`].
     pub workers: usize,
-    /// Pin event-loop worker `i` to CPU `i mod cores` (Linux only,
-    /// best effort) so a worker's connection states stay cache-local.
-    /// Ignored in [`ServerMode::Threaded`].
-    pub pin_workers: bool,
-    /// Connection ceiling (handler threads in [`ServerMode::Threaded`],
-    /// registered sockets in [`ServerMode::EventLoop`]); connections
-    /// beyond it are rejected with `Error{Busy}`.
+    /// Connection ceiling (registered sockets); connections beyond it
+    /// are rejected with `Error{Busy}`.
     pub max_connections: usize,
     /// Deadline for the remainder of a request once its first byte has
     /// arrived.
@@ -100,9 +72,7 @@ pub struct NetServerConfig {
 impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
-            mode: ServerMode::default(),
             workers: 0,
-            pin_workers: true,
             max_connections: 128,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
@@ -110,14 +80,6 @@ impl Default for NetServerConfig {
             instrument: true,
             phase_sample_mask: 63,
         }
-    }
-}
-
-impl NetServerConfig {
-    /// This config with the given serving core.
-    pub fn with_mode(mut self, mode: ServerMode) -> Self {
-        self.mode = mode;
-        self
     }
 }
 
@@ -132,13 +94,13 @@ pub struct NetStats {
     pub errors: Counter,
     /// Frames that failed to decode (connection then closed).
     pub protocol_errors: Counter,
-    /// Connections accepted into a handler thread.
+    /// Connections accepted into a worker.
     pub conns_opened: Counter,
     /// Connections turned away by the backpressure limit.
     pub conns_rejected: Counter,
-    /// Handler threads exited (peer close, error, or drain).
+    /// Connections closed (peer close, error, or drain).
     pub conns_closed: Counter,
-    /// Live handler threads.
+    /// Live connections.
     pub connections: Gauge,
     /// Request bytes read off sockets.
     pub bytes_rx: Counter,
@@ -195,17 +157,15 @@ impl NetStats {
             ),
             conns_opened: registry.counter(
                 "net_server_connections_opened_total",
-                "Connections accepted into a handler thread",
+                "Connections accepted into a worker",
             ),
             conns_rejected: registry.counter(
                 "net_server_connections_rejected_total",
                 "Connections rejected by the backpressure limit",
             ),
-            conns_closed: registry.counter(
-                "net_server_connections_closed_total",
-                "Handler threads exited",
-            ),
-            connections: registry.gauge("net_server_connections", "Live handler threads"),
+            conns_closed: registry
+                .counter("net_server_connections_closed_total", "Connections closed"),
+            connections: registry.gauge("net_server_connections", "Live connections"),
             bytes_rx: registry.counter("net_server_bytes_rx_total", "Request bytes read"),
             bytes_tx: registry.counter("net_server_bytes_tx_total", "Response bytes written"),
         })
@@ -308,7 +268,7 @@ impl PhaseStats {
     }
 }
 
-/// Everything the serving threads share, in either mode.
+/// Everything the serving threads share.
 pub(crate) struct Shared {
     pub(crate) server: Arc<SharedServer>,
     pub(crate) config: NetServerConfig,
@@ -334,7 +294,7 @@ pub(crate) struct Shared {
     pub(crate) op_state: StateHandle,
 }
 
-/// The `scaddard` daemon: a bound listener plus its accept thread.
+/// The `scaddard` daemon: a bound listener plus its event-loop core.
 ///
 /// ```no_run
 /// use std::sync::Arc;
@@ -360,19 +320,10 @@ pub(crate) struct Shared {
 pub struct Scaddard {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    core: Core,
+    reactor: crate::reactor::Reactor,
     /// Stops the `obs-sampler` thread on shutdown.
     sampler_shutdown: Arc<AtomicBool>,
     sampler: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Mode-specific serving machinery behind a bound [`Scaddard`].
-enum Core {
-    Threaded {
-        accept_handle: Option<std::thread::JoinHandle<()>>,
-        conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    },
-    EventLoop(crate::reactor::Reactor),
 }
 
 impl std::fmt::Debug for Scaddard {
@@ -386,7 +337,7 @@ impl std::fmt::Debug for Scaddard {
 
 impl Scaddard {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and
-    /// starts the accept loop. The health monitor is seeded from the
+    /// starts the event-loop core. The health monitor is seeded from the
     /// engine's current state and mirrored into `registry` alongside
     /// the `net_server_*` metrics.
     pub fn bind(
@@ -460,26 +411,7 @@ impl Scaddard {
             profiler: Arc::clone(&profiler),
             op_state,
         });
-        let core = match shared.config.mode {
-            ServerMode::Threaded => {
-                let conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-                    Arc::new(Mutex::new(Vec::new()));
-                let accept_shared = Arc::clone(&shared);
-                let accept_conns = Arc::clone(&conn_handles);
-                let accept_handle = std::thread::Builder::new()
-                    .name("scaddard-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared, accept_conns))
-                    .expect("spawn accept thread");
-                Core::Threaded {
-                    accept_handle: Some(accept_handle),
-                    conn_handles,
-                }
-            }
-            ServerMode::EventLoop => Core::EventLoop(crate::reactor::Reactor::start(
-                listener,
-                Arc::clone(&shared),
-            )?),
-        };
+        let reactor = crate::reactor::Reactor::start(listener, Arc::clone(&shared))?;
         // ~1 kHz wall-clock sampler; tests and the harness that need
         // determinism drive `Profiler::sample_once` directly instead.
         let sampler_shutdown = Arc::new(AtomicBool::new(false));
@@ -488,7 +420,7 @@ impl Scaddard {
         Ok(Scaddard {
             local_addr,
             shared,
-            core,
+            reactor,
             sampler_shutdown,
             sampler: Some(sampler),
         })
@@ -499,7 +431,7 @@ impl Scaddard {
         self.local_addr
     }
 
-    /// Live handler threads right now.
+    /// Live connections right now.
     pub fn active_connections(&self) -> usize {
         self.shared.active.load(Ordering::Relaxed)
     }
@@ -546,102 +478,19 @@ impl Scaddard {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
-        match &mut self.core {
-            Core::Threaded {
-                accept_handle,
-                conn_handles,
-            } => {
-                if let Some(handle) = accept_handle.take() {
-                    let _ = handle.join();
-                }
-                let handles: Vec<_> = {
-                    let mut guard = conn_handles.lock().unwrap_or_else(|e| e.into_inner());
-                    guard.drain(..).collect()
-                };
-                for handle in handles {
-                    let _ = handle.join();
-                }
-            }
-            Core::EventLoop(reactor) => reactor.shutdown(),
-        }
+        self.reactor.shutdown();
         self.sampler_shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.sampler.take() {
             let _ = handle.join();
-        }
-    }
-
-    fn is_shut_down(&self) -> bool {
-        match &self.core {
-            Core::Threaded { accept_handle, .. } => accept_handle.is_none(),
-            Core::EventLoop(reactor) => reactor.is_shut_down(),
         }
     }
 }
 
 impl Drop for Scaddard {
     fn drop(&mut self) {
-        if !self.is_shut_down() {
+        if !self.reactor.is_shut_down() {
             self.shutdown_inner();
         }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    loop {
-        let (stream, _peer) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
-            Err(_) => continue,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // The wake-up connection (or a late arrival during drain).
-            let _ = reply(
-                &stream,
-                &shared,
-                &Frame::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "draining".into(),
-                },
-            );
-            return;
-        }
-        if shared.active.load(Ordering::Relaxed) >= shared.config.max_connections {
-            shared.stats.conns_rejected.inc();
-            let _ = reply(
-                &stream,
-                &shared,
-                &Frame::Error {
-                    code: ErrorCode::Busy,
-                    message: format!("{} connections", shared.config.max_connections),
-                },
-            );
-            continue;
-        }
-        shared.active.fetch_add(1, Ordering::Relaxed);
-        shared.stats.conns_opened.inc();
-        shared.stats.connections.add(1);
-        let conn_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("scaddard-conn".into())
-            .spawn(move || {
-                handle_connection(stream, &conn_shared);
-                conn_shared.active.fetch_sub(1, Ordering::Relaxed);
-                conn_shared.stats.conns_closed.inc();
-                conn_shared.stats.connections.add(-1);
-            })
-            .expect("spawn handler thread");
-        conn_handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
-        // Opportunistically reap finished handlers so a long-lived
-        // daemon doesn't accumulate unbounded JoinHandles.
-        let mut guard = conn_handles.lock().unwrap_or_else(|e| e.into_inner());
-        guard.retain(|h| !h.is_finished());
     }
 }
 
@@ -652,104 +501,6 @@ pub(crate) fn reply(mut stream: &TcpStream, shared: &Shared, frame: &Frame) -> s
     stream.write_all(&bytes)?;
     shared.stats.bytes_tx.add(bytes.len() as u64);
     Ok(())
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(POLL_TICK));
-    let _ = stream.set_nodelay(true);
-    let instrument = shared.config.instrument;
-    let mut span = instrument.then(|| shared.tracer.span("net.conn"));
-    let mut served = 0u64;
-    let mut buf: Vec<u8> = Vec::with_capacity(FRAME_HEADER_LEN + 64);
-    let mut chunk = [0u8; 4096];
-    // Deadline for completing the frame currently being read; armed by
-    // its first byte, disarmed when the buffer empties.
-    let mut frame_deadline: Option<Instant> = None;
-    let mut out = Vec::with_capacity(256);
-    loop {
-        // Drain every complete frame already buffered (pipelining:
-        // responses for all of them go out in one write).
-        out.clear();
-        loop {
-            match decode_frame_traced(&buf, shared.config.max_frame_len) {
-                Ok((frame, ctx, used)) => {
-                    buf.drain(..used);
-                    if !handle_request(frame, shared, &mut out, instrument, ctx) {
-                        flush(&stream, shared, &out);
-                        return;
-                    }
-                    served += 1;
-                }
-                Err(FrameError::Incomplete { .. }) => break,
-                Err(err) => {
-                    shared.stats.protocol_errors.inc();
-                    Frame::Error {
-                        code: ErrorCode::Protocol,
-                        message: err.to_string(),
-                    }
-                    .encode(&mut out);
-                    flush(&stream, shared, &out);
-                    if let Some(span) = span.as_mut() {
-                        span.event("protocol-error", err);
-                    }
-                    return;
-                }
-            }
-        }
-        if !out.is_empty() && !flush(&stream, shared, &out) {
-            return;
-        }
-        frame_deadline = if buf.is_empty() {
-            None
-        } else {
-            // A partial frame is pending; (re-)arm the deadline when it
-            // first appears.
-            Some(frame_deadline.unwrap_or_else(|| Instant::now() + shared.config.read_timeout))
-        };
-        // Read more, waking every POLL_TICK to check shutdown/deadline.
-        match stream.read(&mut chunk) {
-            Ok(0) => break, // peer closed
-            Ok(n) => {
-                shared.stats.bytes_rx.add(n as u64);
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if shared.shutdown.load(Ordering::SeqCst) && buf.is_empty() {
-                    break; // idle connection during drain
-                }
-                if let Some(deadline) = frame_deadline {
-                    if Instant::now() >= deadline {
-                        let mut err = Vec::new();
-                        Frame::Error {
-                            code: ErrorCode::BadRequest,
-                            message: "request read deadline exceeded".into(),
-                        }
-                        .encode(&mut err);
-                        flush(&stream, shared, &err);
-                        break;
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    if let Some(span) = span.as_mut() {
-        span.event("requests", served);
-    }
-}
-
-/// Writes the buffered responses; false on failure (connection dead).
-fn flush(mut stream: &TcpStream, shared: &Shared, out: &[u8]) -> bool {
-    if out.is_empty() {
-        return true;
-    }
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    if stream.write_all(out).is_err() {
-        return false;
-    }
-    shared.stats.bytes_tx.add(out.len() as u64);
-    true
 }
 
 /// Dispatches one request, appending the response to `out`. Returns
@@ -765,9 +516,9 @@ pub(crate) fn handle_request(
     frame: Frame,
     shared: &Shared,
     out: &mut Vec<u8>,
-    instrument: bool,
     ctx: Option<TraceContext>,
 ) -> bool {
+    let instrument = shared.config.instrument;
     if !frame.is_request() {
         shared.stats.protocol_errors.inc();
         Frame::Error {
@@ -1033,9 +784,11 @@ fn dispatch(frame: Frame, shared: &Shared, instrument: bool) -> Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::FrameError;
     use cmsim::{CmServer, ServerConfig};
     use scaddar_core::ScalingOp;
     use scaddar_obs::MonotonicClock;
+    use std::io::Read;
 
     fn boot(blocks: u64) -> (Scaddard, Registry) {
         let mut server = CmServer::new(ServerConfig::new(4).with_catalog_seed(11)).unwrap();
@@ -1397,11 +1150,11 @@ mod tests {
     fn shutdown_drains_idle_connections() {
         let (daemon, registry) = boot(100);
         let stream = TcpStream::connect(daemon.local_addr()).unwrap();
-        // Give the accept loop a moment to hand the connection off.
+        // Give the acceptor a moment to hand the connection off.
         while daemon.active_connections() == 0 {
             std::thread::yield_now();
         }
-        daemon.shutdown(); // joins the idle handler within a poll tick
+        daemon.shutdown(); // the worker closes the idle connection on drain
         drop(stream);
         assert!(matches!(
             registry.value("net_server_connections"),

@@ -7,14 +7,13 @@
 //! stable across removals, so the set is not `0..disks`), and
 //! per-connection epochs never running backwards.
 //!
-//! Runs against **both** serving cores: the thread-per-connection
-//! reference and the event-loop reactor (whose cross-connection
-//! coalescing must not reorder a connection's responses around a
-//! `Scale` barrier).
+//! The event-loop reactor's cross-connection coalescing must not
+//! reorder a connection's responses around a `Scale` barrier; the test
+//! runs with the default per-core workers and with a single worker.
 
 use cmsim::{CmServer, ServerConfig, SharedServer};
 use scaddar_core::ScalingOp;
-use scaddar_net::{NetClient, NetServerConfig, Scaddard, ServerMode};
+use scaddar_net::{NetClient, NetServerConfig, Scaddard};
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +38,7 @@ fn physical_set_at(epoch: u64) -> HashSet<u64> {
     }
 }
 
-fn no_torn_epochs_through_scale_commits(mode: ServerMode) {
+fn no_torn_epochs_through_scale_commits(workers: usize) {
     let mut server = CmServer::new(ServerConfig::new(4).with_catalog_seed(0xD15C)).unwrap();
     server.add_object(OBJECT_BLOCKS).unwrap();
     let registry = Registry::new();
@@ -47,7 +46,10 @@ fn no_torn_epochs_through_scale_commits(mode: ServerMode) {
     let daemon = Scaddard::bind(
         "127.0.0.1:0",
         Arc::new(SharedServer::new(server)),
-        NetServerConfig::default().with_mode(mode),
+        NetServerConfig {
+            workers,
+            ..NetServerConfig::default()
+        },
         &registry,
         tracer,
     )
@@ -151,10 +153,12 @@ fn no_torn_epochs_through_scale_commits(mode: ServerMode) {
 
 #[test]
 fn sixty_four_clients_see_no_torn_epochs_event_loop() {
-    no_torn_epochs_through_scale_commits(ServerMode::EventLoop);
+    no_torn_epochs_through_scale_commits(0);
 }
 
+/// One worker puts every connection in one coalescing wave, which the
+/// default per-core config does not force.
 #[test]
 fn sixty_four_clients_see_no_torn_epochs_threaded() {
-    no_torn_epochs_through_scale_commits(ServerMode::Threaded);
+    no_torn_epochs_through_scale_commits(1);
 }

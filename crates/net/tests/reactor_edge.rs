@@ -1,6 +1,5 @@
-//! Edge cases of the event-loop serving core that a thread-per-
-//! connection server gets "for free" from blocking I/O and the reactor
-//! must earn explicitly: partial frames trickling in across many
+//! Edge cases of the event-loop serving core that blocking I/O would
+//! get "for free" and the reactor must earn explicitly: partial frames trickling in across many
 //! readiness events (slow loris), a peer vanishing mid-frame, and
 //! response queues wedged behind a client that writes but does not
 //! read (`EAGAIN` on write with a half-flushed queue).
@@ -8,7 +7,6 @@
 use cmsim::{CmServer, ServerConfig, SharedServer};
 use scaddar_net::{
     decode_frame_limited, ErrorCode, Frame, FrameError, NetClient, NetServerConfig, Scaddard,
-    ServerMode,
 };
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
 use std::io::{ErrorKind, Read, Write};
@@ -24,7 +22,7 @@ fn boot(config: NetServerConfig) -> Scaddard {
     Scaddard::bind(
         "127.0.0.1:0",
         Arc::new(SharedServer::new(server)),
-        config.with_mode(ServerMode::EventLoop),
+        config,
         &registry,
         tracer,
     )
