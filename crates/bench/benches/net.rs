@@ -10,11 +10,13 @@
 //! 3. `net_pipeline` — 16 pipelined locates per wakeup, the client
 //!    library's batching path (amortizes the per-write syscall cost).
 //!
-//! The end-to-end percentile/overhead numbers in `BENCH_net.json` come
-//! from the seeded load generator (`scaddard-load`), not from here —
-//! these groups exist for profiling the components.
+//! `net_locate_overhead` prices the serving telemetry: the
+//! `locate_roundtrip` of layer 2 against a bare (`instrument: false`)
+//! daemon and an instrumented one, in 5 interleaved pairs so host drift
+//! lands on both sides alike. `bench_report --gate net` gates the median
+//! pair ratio at 1.10. End-to-end latency under load is `perfbench`'s.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
 use scaddar_net::{decode_frame, Frame, NetClient, NetServerConfig, Scaddard};
 use scaddar_obs::{MonotonicClock, Registry, Tracer};
 use std::hint::black_box;
@@ -56,7 +58,7 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn boot() -> Scaddard {
+fn boot(instrument: bool) -> Scaddard {
     let mut server =
         cmsim::CmServer::new(cmsim::ServerConfig::new(4).with_catalog_seed(0xBE)).unwrap();
     server.add_object(10_000).unwrap();
@@ -65,23 +67,35 @@ fn boot() -> Scaddard {
     Scaddard::bind(
         "127.0.0.1:0",
         Arc::new(cmsim::SharedServer::new(server)),
-        NetServerConfig::default(),
+        NetServerConfig {
+            instrument,
+            ..NetServerConfig::default()
+        },
         &registry,
         tracer,
     )
     .unwrap()
 }
 
+fn locate_roundtrip(b: &mut Bencher, client: &NetClient) {
+    let mut i = 0u64;
+    b.iter(|| {
+        i = (i + 1) % 10_000;
+        black_box(client.locate(0, black_box(i)).expect("locate"))
+    });
+}
+
 fn bench_request_path(c: &mut Criterion) {
-    let daemon = boot();
+    // Each daemon hands its first connection to worker 0, pinned to CPU
+    // 0. Pinning the client there too fixes where every round trip
+    // wakes up; a floating client alternates between same-core and
+    // cross-core wakeups, which moved single rows here by up to 2.5x.
+    let _ = polling::pin_current_thread_to_cpu(0);
+    let daemon = boot(true);
     let client = NetClient::connect(daemon.local_addr());
     let mut group = c.benchmark_group("net_request");
     group.bench_function(BenchmarkId::from_parameter("locate_roundtrip"), |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 1) % 10_000;
-            black_box(client.locate(0, black_box(i)).expect("locate"))
-        });
+        locate_roundtrip(b, &client)
     });
     group.finish();
 
@@ -96,8 +110,21 @@ fn bench_request_path(c: &mut Criterion) {
         b.iter(|| black_box(client.pipeline(black_box(&requests)).expect("pipeline")));
     });
     group.finish();
-    drop(client);
+
+    let bare_daemon = boot(false);
+    let bare = NetClient::connect(bare_daemon.local_addr());
+    let mut group = c.benchmark_group("net_locate_overhead");
+    for pair in 0..5 {
+        for (side, client) in [("bare", &bare), ("instrumented", &client)] {
+            group.bench_function(BenchmarkId::new(side, pair), |b| {
+                locate_roundtrip(b, client)
+            });
+        }
+    }
+    group.finish();
+    drop((client, bare));
     daemon.shutdown();
+    bare_daemon.shutdown();
 }
 
 criterion_group!(benches, bench_codec, bench_request_path);

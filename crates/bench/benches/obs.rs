@@ -97,8 +97,8 @@ fn bench_plan_overhead(c: &mut Criterion) {
 /// on exit). `bare` uses a detached handle and no sampler;
 /// `instrumented` registers with a live [`Profiler`] whose 1 kHz
 /// sampler thread runs for the whole measurement — so the ratio is
-/// exactly what arming the profiler costs a worker. CI's
-/// profile-smoke job gates this ratio at 1.10 via `BENCH_obs.json`.
+/// exactly what arming the profiler costs a worker. CI's obs-smoke
+/// job gates this ratio at 1.10 (`bench_report --gate obs`).
 fn bench_profile_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_profile_overhead");
     let run = |b: &mut criterion::Bencher, handle: &StateHandle| {

@@ -3,8 +3,8 @@
 //! shard's registry through one [`FleetAggregator`] round and gates
 //! on the federation invariants end to end:
 //!
-//! * **zero unreachable shards** — the aggregator must reach every
-//!   live shard in its round;
+//! * **every shard federated** — the aggregator knows exactly the 3
+//!   booted shards and reaches each of them in its round;
 //! * **federated == direct sums** — every serving request counter in
 //!   the fleet registry equals the sum of direct per-shard scrapes
 //!   (and the merged latency histogram preserves the total count),
@@ -13,7 +13,8 @@
 //! * **burn-rate alarm fires** — the fleet SLO runs with a planted
 //!   100 ns latency objective no loopback request can beat, so the
 //!   federated scrape deltas must trip the latency burn rule (WARN or
-//!   worse) and capture the span flight recorder into the event log;
+//!   worse), and its CRIT transition must capture the span flight
+//!   recorder into the event log as `span-capture` events;
 //! * **traces stitch** — the last lookup's trace must hold the client
 //!   root plus at least one serving hop from a shard's recorder.
 //!
@@ -33,6 +34,7 @@ use scaddar_obs::{render_trace_dump, EventLog, RegistrySnapshot, Tracer};
 use scaddar_prng::{Pcg64, SeededRng};
 
 const BLOCKS_PER_OBJECT: u64 = 1_000;
+const SHARDS: u32 = 3;
 
 /// Serving series only: the aggregator's own polling increments the
 /// `scrape-stats` endpoint, so it is excluded from agreement checks.
@@ -85,7 +87,7 @@ fn main() {
     println!("federation_smoke: seed={seed} objects={objects} requests={requests}");
 
     let mut cluster = Cluster::boot(ClusterConfig {
-        shards: 3,
+        shards: SHARDS,
         blocks_per_object: BLOCKS_PER_OBJECT,
         catalog_seed: seed,
         ..ClusterConfig::default()
@@ -133,6 +135,7 @@ fn main() {
     );
     let targets = cluster.scrape_targets();
     let fleet = aggregator.scrape(&targets);
+    let federated = fleet.shards.len() as u64;
     let unreachable = fleet.unreachable_shards();
     let fleet_snapshot = fleet.fleet_registry().snapshot();
 
@@ -169,6 +172,7 @@ fn main() {
             burn_tripped = true;
         }
     }
+    let captured = log.events().iter().any(|e| e.kind == "span-capture");
 
     // Trace stitching: the last lookup renders as one tree with the
     // client root plus at least one serving hop.
@@ -206,11 +210,18 @@ fn main() {
     cluster.shutdown();
 
     let agree = fed_requests == direct_requests && fed_histogram == direct_histogram;
-    if routing_errors > 0 || !unreachable.is_empty() || !agree || !burn_tripped || !stitched {
+    if routing_errors > 0
+        || federated != u64::from(SHARDS)
+        || !unreachable.is_empty()
+        || !agree
+        || !burn_tripped
+        || !captured
+        || !stitched
+    {
         eprintln!(
-            "federation_smoke: FAILED (routing_errors={routing_errors}, \
+            "federation_smoke: FAILED (routing_errors={routing_errors}, federated={federated}, \
              unreachable={unreachable:?}, agree={agree}, burn_tripped={burn_tripped}, \
-             stitched={stitched})"
+             captured={captured}, stitched={stitched})"
         );
         std::process::exit(1);
     }

@@ -24,9 +24,6 @@
 //!   the deadline/backpressure policy of [`server`].
 //! * [`client`] — [`NetClient`]: connection pooling, request
 //!   pipelining, and deadline-aware retry-on-reconnect.
-//! * [`load`] — a deterministic loopback load generator (seeded
-//!   open/closed-loop workloads) whose measurements feed
-//!   `BENCH_net.json` via `bench_report`.
 //! * [`cluster`] — the sharded-topology layer: the versioned
 //!   [`ClusterMap`] with jump-consistent-hash object routing, the
 //!   server-side [`ShardRuntime`] handoff gates, and the shard-aware
@@ -52,7 +49,6 @@
 
 pub mod client;
 pub mod cluster;
-pub mod load;
 pub mod reactor;
 pub mod server;
 pub mod wire;
@@ -62,7 +58,6 @@ pub use cluster::{
     fetch_map, ClusterAnswer, ClusterBatchAnswer, ClusterClient, ClusterClientStats, ClusterMap,
     RouteDecision, ShardRuntime,
 };
-pub use load::{run_load, LatencySummary, LoadConfig, LoadReport, LoopMode};
 pub use server::{depth_bucket, NetServerConfig, PhaseStats, Scaddard, ENGINE_DEPTH_BUCKETS};
 pub use wire::{
     decode_frame, decode_frame_limited, ErrorCode, Frame, FrameError, StatsFormat,

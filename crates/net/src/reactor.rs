@@ -227,7 +227,6 @@ impl Worker {
                 }
             };
             if stream.set_nonblocking(true).is_err() {
-                self.shared.active.fetch_sub(1, Ordering::Relaxed);
                 self.shared.stats.conns_closed.inc();
                 self.shared.stats.connections.add(-1);
                 continue;
@@ -243,7 +242,6 @@ impl Worker {
                 .is_err()
             {
                 self.free.push(slot);
-                self.shared.active.fetch_sub(1, Ordering::Relaxed);
                 self.shared.stats.conns_closed.inc();
                 self.shared.stats.connections.add(-1);
                 continue;
@@ -754,7 +752,6 @@ impl Worker {
         if let Some(conn) = self.conns[slot].take() {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
             self.free.push(slot);
-            self.shared.active.fetch_sub(1, Ordering::Relaxed);
             self.shared.stats.conns_closed.inc();
             self.shared.stats.connections.add(-1);
         }
@@ -905,7 +902,8 @@ fn accept_loop(
             );
             return;
         }
-        if shared.active.load(Ordering::Relaxed) >= shared.config.max_connections {
+        let ceiling = i64::try_from(shared.config.max_connections).unwrap_or(i64::MAX);
+        if shared.stats.connections.get() >= ceiling {
             shared.stats.conns_rejected.inc();
             let _ = reply(
                 &stream,
@@ -917,7 +915,6 @@ fn accept_loop(
             );
             continue;
         }
-        shared.active.fetch_add(1, Ordering::Relaxed);
         shared.stats.conns_opened.inc();
         shared.stats.connections.add(1);
         let (poller, injector) = &targets[next % targets.len()];

@@ -37,7 +37,7 @@ use scaddar_obs::{
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -280,7 +280,6 @@ pub(crate) struct Shared {
     pub(crate) controller: Mutex<CompactionController>,
     pub(crate) registry: Registry,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) active: AtomicUsize,
     /// Cluster-mode routing state; `None` for a standalone daemon.
     pub(crate) shard: Option<Arc<ShardRuntime>>,
     /// Request-lifecycle phase histograms (sampled 1-in-N).
@@ -330,7 +329,7 @@ impl std::fmt::Debug for Scaddard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scaddard")
             .field("local_addr", &self.local_addr)
-            .field("active", &self.shared.active.load(Ordering::Relaxed))
+            .field("connections", &self.shared.stats.connections.get())
             .finish()
     }
 }
@@ -339,7 +338,9 @@ impl Scaddard {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and
     /// starts the event-loop core. The health monitor is seeded from the
     /// engine's current state and mirrored into `registry` alongside
-    /// the `net_server_*` metrics.
+    /// the `net_server_*` metrics. Those series are per daemon: the
+    /// live-connection gauge is also the `max_connections` count, so
+    /// each daemon needs a `registry` of its own.
     pub fn bind(
         addr: impl ToSocketAddrs,
         server: Arc<SharedServer>,
@@ -405,7 +406,6 @@ impl Scaddard {
             controller: Mutex::new(controller),
             registry: registry.clone(),
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
             shard,
             phases,
             profiler: Arc::clone(&profiler),
@@ -433,7 +433,7 @@ impl Scaddard {
 
     /// Live connections right now.
     pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Relaxed)
+        usize::try_from(self.shared.stats.connections.get()).unwrap_or(0)
     }
 
     /// The server's metric handles (benches read these directly).
